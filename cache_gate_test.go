@@ -73,14 +73,15 @@ func TestCachedReplaySpeedup(t *testing.T) {
 // TestParallelRunnerSpeedup enforces the >=2x parallel-runner gate on
 // multi-core machines: fanning a reduced Figure 20 grid over the worker
 // pool must at least halve wall-clock versus the same grid at width 1.
-// Single-core machines skip — there is nothing to overlap — but the
-// digest-equivalence tests still run there.
+// Machines with fewer than 4 CPUs skip — at 2 CPUs the gate would
+// demand perfect linear scaling — but the digest-equivalence test
+// (TestParallelRunnerDigestsMatchSerial) still runs there.
 func TestParallelRunnerSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup gate needs benchmark runs")
 	}
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skipf("parallel speedup needs >=2 CPUs, have %d", runtime.GOMAXPROCS(0))
+	if runtime.GOMAXPROCS(0) < 4 {
+		t.Skipf("parallel speedup needs >=4 CPUs, have %d", runtime.GOMAXPROCS(0))
 	}
 	t.Cleanup(invariant.Pause())
 	env, err := experiments.SharedEnv()

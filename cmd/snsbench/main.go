@@ -49,8 +49,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile taken after the figure run to this file")
 	invariants := flag.Bool("invariants", false, "run the invariant auditor on every scheduling event")
 	workersFlag := flag.Int("workers", 0, "worker goroutines for independent simulation cells (0 = GOMAXPROCS); results are identical at any width")
-	shards := flag.Int("shards", 0, "partition the fig20 placement kernel into this many shards (0 = flat kernel); placements are identical at any shard count")
-	mutWorkers := flag.Int("mutworkers", 0, "apply the fig20 replay's wide reservation spans through this many parallel mutation workers (0/1 = serial); results are identical at any width")
 	flag.Parse()
 
 	if *invariants {
@@ -204,8 +202,6 @@ func main() {
 		cfg.Seed = *seed
 		cfg.Jobs = *traceJobs
 		cfg.Span = *traceSpan
-		cfg.Shards = *shards
-		cfg.MutWorkers = *mutWorkers
 		r, err := experiments.Fig20TraceSim(env, cfg)
 		if err != nil {
 			fatal(err)

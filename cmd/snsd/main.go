@@ -39,8 +39,6 @@ func main() {
 	policyFlag := flag.String("policy", "SNS", "placement policy: CE, CS, SNS, TwoSlot")
 	maxScale := flag.Int("max-scale", 8, "scale-factor search bound")
 	scanDepth := flag.Int("scan-depth", 32, "backfill scan depth per round")
-	shards := flag.Int("shards", 0, "partition the placement kernel into this many shards (0 = flat)")
-	mutWorkers := flag.Int("mutworkers", 0, "apply wide reservation spans through this many parallel mutation workers (0/1 = serial)")
 	timescale := flag.Float64("timescale", 1, "virtual seconds per wall second")
 	maxBatch := flag.Int("max-batch", 4096, "max submissions drained into one admission round")
 	maxPending := flag.Int("max-pending-ops", 8192, "admission throttle: refuse mutations beyond this many unapplied ops")
@@ -91,8 +89,7 @@ func main() {
 		core, err := svc.New(svc.Config{
 			Node: spec.Node, Nodes: *nodes, Policy: policy,
 			MaxScale: *maxScale, ScanDepth: *scanDepth,
-			AgingPeriodSec: 1, Shards: *shards, MutWorkers: *mutWorkers,
-			AuditLabel: "snsd",
+			AgingPeriodSec: 1, AuditLabel: "snsd",
 		})
 		if err != nil {
 			fatal(err)

@@ -20,7 +20,7 @@
 // resolve calls and types across it, so run the full module (the
 // default ./...) rather than a subset — analyzing a slice of the module
 // leaves boundary calls unresolvable. After the shared caches are
-// warmed, packages are analyzed in parallel over an internal/par pool;
+// warmed, packages are analyzed in parallel through par.ForEach;
 // findings are reported in position order either way. Findings are
 // suppressed line by line with a justified directive, e.g.
 //
@@ -83,7 +83,7 @@ func main() {
 			checked++
 		}
 	}
-	// Packages fan out over a worker pool; RunParallel sorts the merged
+	// Packages fan out over par.ForEach; RunParallel sorts the merged
 	// findings by position, so the output is byte-identical at any width.
 	diags := lint.RunParallel(prog, func(p *lint.Package) []lint.Diagnostic {
 		det := lint.DeterministicPackages[p.Path]

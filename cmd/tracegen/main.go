@@ -41,8 +41,6 @@ func main() {
 	swfProcs := flag.Int("swf-procs-per-node", 16, "processors per node for SWF conversion")
 	invariants := flag.Bool("invariants", false, "run the invariant auditor on every scheduling event of the replay")
 	workersFlag := flag.Int("workers", 0, "worker goroutines for multi-policy replay (0 = GOMAXPROCS); results are identical at any width")
-	shards := flag.Int("shards", 0, "partition the replay's placement kernel into this many shards (0 = flat kernel); placements are identical at any shard count")
-	mutWorkers := flag.Int("mutworkers", 0, "apply the replay's wide reservation spans through this many parallel mutation workers (0/1 = serial); results are identical at any width")
 	flag.Parse()
 
 	if *invariants {
@@ -110,8 +108,6 @@ func main() {
 		cfgs := make([]trace.SimConfig, len(policies))
 		for i, p := range policies {
 			cfgs[i] = trace.DefaultSimConfig(*replay, p)
-			cfgs[i].Shards = *shards
-			cfgs[i].MutWorkers = *mutWorkers
 		}
 		results, err := trace.SimulateAll(jj, db, spec.Node, cfgs)
 		if err != nil {

@@ -46,14 +46,6 @@ type Fig20Config struct {
 	MaxNodes int
 	Sizes    []int
 	Ratios   []float64
-	// Shards, when > 0, replays every cell through the sharded placement
-	// kernel (trace.SimConfig.Shards). Results are bit-identical to the
-	// flat kernel; only replay cost changes.
-	Shards int
-	// MutWorkers, when > 1, applies every cell's wide reservation spans
-	// through the parallel mutation pipeline (trace.SimConfig.MutWorkers).
-	// Results are bit-identical at any width; only replay cost changes.
-	MutWorkers int
 }
 
 // DefaultFig20Config mirrors Section 6.4: 7,044 jobs over 1900 hours,
@@ -103,8 +95,6 @@ func Fig20TraceSim(env *Env, cfg Fig20Config) ([]Fig20Row, error) {
 		ri := i / len(fig20Policies) / len(cfg.Sizes)
 		p, size, ratio := fig20Policies[pi], cfg.Sizes[si], cfg.Ratios[ri]
 		sc := trace.DefaultSimConfig(size, p)
-		sc.Shards = cfg.Shards
-		sc.MutWorkers = cfg.MutWorkers
 		r, err := trace.Simulate(jobsByRatio[ri], env.DB, env.Spec.Node, sc)
 		if err != nil {
 			return fmt.Errorf("fig20 %s %d@%.1f: %w", p, size, ratio, err)

@@ -264,25 +264,6 @@ func (a *Auditor) CheckScoreCache(s *placement.Search) {
 	}
 }
 
-// CheckShardedIndex verifies a search's sharded kernel against the flat
-// bookkeeping it mirrors: every per-shard free-core index internally
-// consistent, the ranges tiling the cluster, per-node and per-bucket
-// agreement with the global index, and every per-shard score cache
-// bit-identical to a fresh rescore. A search without shards passes
-// vacuously.
-func (a *Auditor) CheckShardedIndex(s *placement.Search) {
-	if s == nil || s.Shards == nil {
-		return
-	}
-	ss := s.Shards
-	for i := 0; i < ss.NumShards(); i++ {
-		a.CheckIndex(ss.Index(i))
-	}
-	if err := ss.Audit(s.View, s.Idx, s.Spec, s.ScoreBeta()); err != nil {
-		a.failf("%v", err)
-	}
-}
-
 // ObserveQueue asserts the pending queue's aging laws at an event: the
 // clock never runs backwards, and a waiting job's submission record
 // never changes — together, no queued job's age ever regresses. Runs at

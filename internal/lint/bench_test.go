@@ -2,8 +2,6 @@ package lint
 
 import (
 	"testing"
-
-	"spreadnshare/internal/par"
 )
 
 // BenchmarkLoadRepo measures the one-time cost the cached loader pays:
@@ -83,7 +81,7 @@ func BenchmarkAnalyzeState(b *testing.B) {
 // of fanning the Wide passes out over internal/par (the cmd/snslint and
 // TestRepoIsClean execution shape). The parallel speedup is bounded by
 // the pool width — on a single-CPU runner the two are equivalent and
-// the comparison just prices RunParallel's pool and sort overhead.
+// the comparison just prices RunParallel's result slots and sort.
 func BenchmarkWideSerial(b *testing.B) {
 	prog, err := LoadRepoProgram()
 	if err != nil {
@@ -113,37 +111,6 @@ func BenchmarkWideParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	prog.Warm()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		diags := RunParallel(prog, func(p *Package) []Diagnostic {
-			var out []Diagnostic
-			for _, a := range Analyzers() {
-				if !a.Wide {
-					continue
-				}
-				out = append(out, Run(a, prog, p)...)
-			}
-			return out
-		})
-		if len(diags) != 0 {
-			b.Fatalf("repo is not lint-clean: %d findings", len(diags))
-		}
-	}
-}
-
-// BenchmarkWideParallelWidth1 prices RunParallel pinned to effective
-// width 1 — the single-CPU runner shape PR 9 measured the regression on
-// (21.0ms parallel vs 17.5ms serial). The width-1 fast path skips the
-// pool dispatch, the per-package result slices, and the already-sorted
-// final sort, so this benchmark must track BenchmarkWideSerial instead
-// of paying a fan-out that cannot help.
-func BenchmarkWideParallelWidth1(b *testing.B) {
-	prog, err := LoadRepoProgram()
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog.Warm()
-	defer par.SetWorkers(par.SetWorkers(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		diags := RunParallel(prog, func(p *Package) []Diagnostic {

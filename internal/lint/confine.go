@@ -18,8 +18,8 @@ import (
 //
 //   - //sns:goroutine <names...> on a function declares that its body
 //     executes as the named owner goroutine(s) (the daemon's scheduler
-//     loop, a pool worker). The annotation is the trust boundary; its
-//     justification lives in the doc comment.
+//     loop, a replay's event loop). The annotation is the trust
+//     boundary; its justification lives in the doc comment.
 //   - //sns:dispatch <names...> on a function declares that function
 //     literals passed to it as arguments execute on the named owner
 //     goroutine (the daemon's exec/view, which convey closures over the

@@ -17,7 +17,7 @@ import (
 //     quit+done pair.
 //   - Close-terminated worker: the spawned function's body is a
 //     `for range ch` loop over a channel parameter (or field) that some
-//     code in the program closes — the pool's parked workers.
+//     code in the program closes — a persistent pool's parked workers.
 //
 // Identity is matched by object for locals (the WaitGroup declared two
 // lines above the go statement) and by stable "pkgpath.Type.field" /

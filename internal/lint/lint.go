@@ -22,11 +22,10 @@
 //     across the call graph — the static form of the runtime zero-alloc
 //     gates in internal/exec/alloc_test.go.
 //   - confine: //sns:owner-annotated types and fields (the live cluster
-//     core, the daemon's scheduler state, the pool's batch fields) may
-//     be reached only from code proven to execute on the named owner
-//     goroutine — //sns:goroutine entry points, closures handed to
-//     //sns:dispatch functions, and everything the call graph proves
-//     onto them.
+//     core, the daemon's scheduler state) may be reached only from
+//     code proven to execute on the named owner goroutine —
+//     //sns:goroutine entry points, closures handed to //sns:dispatch
+//     functions, and everything the call graph proves onto them.
 //   - guardedby: every load and store of a //sns:guardedby-annotated
 //     field must happen with the named sibling mutex held (writes need
 //     the write lock; RLock admits reads only).
@@ -270,38 +269,26 @@ func Analyzers() []*Analyzer {
 }
 
 // RunParallel runs the given per-package analysis over every package of
-// prog on an internal/par.Pool and returns the merged findings in a
-// fixed order — sorted by file, line, column, then analyzer name — so
-// the output is byte-identical at any pool width. The program-wide
-// caches are warmed on the calling goroutine first; after that the
-// per-package work only reads immutable type information and replays
-// cached findings, so the fan-out is race-free.
-//
-// At effective width 1 the fan-out is pure overhead — the serial loop
-// below visits packages in index order, which already emits diagnostics
-// in the merged sort order package by package — so the single-CPU path
-// skips the pool, the per-package result slices, and (when the
-// concatenation happens to come out ordered, which index-order
-// emission makes the common case) the final sort.
+// prog through par.ForEach and returns the merged findings in a fixed
+// order — sorted by file, line, column, then analyzer name — so the
+// output is byte-identical at any worker width. The program-wide caches
+// are warmed on the calling goroutine first; after that the per-package
+// work only reads immutable type information and replays cached
+// findings, so the fan-out is race-free. Each package writes only its
+// own pre-sized result slot (the ForEach contract), and ForEach runs
+// inline at width 1.
 func RunParallel(prog *Program, analyze func(*Package) []Diagnostic) []Diagnostic {
 	prog.Warm()
+	results := make([][]Diagnostic, len(prog.Packages))
+	_ = par.ForEach(len(prog.Packages), func(i int) error {
+		results[i] = analyze(prog.Packages[i])
+		return nil
+	})
 	var out []Diagnostic
-	if par.Workers() == 1 {
-		for _, pkg := range prog.Packages {
-			out = append(out, analyze(pkg)...)
-		}
-	} else {
-		results := make([][]Diagnostic, len(prog.Packages))
-		pool := par.NewPool(0)
-		defer pool.Close()
-		pool.Run(len(prog.Packages), func(i int) {
-			results[i] = analyze(prog.Packages[i])
-		})
-		for _, r := range results {
-			out = append(out, r...)
-		}
+	for _, r := range results {
+		out = append(out, r...)
 	}
-	less := func(i, k int) bool {
+	sort.SliceStable(out, func(i, k int) bool {
 		a, b := out[i].Pos, out[k].Pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
@@ -313,10 +300,7 @@ func RunParallel(prog *Program, analyze func(*Package) []Diagnostic) []Diagnosti
 			return a.Column < b.Column
 		}
 		return out[i].Analyzer < out[k].Analyzer
-	}
-	if !sort.SliceIsSorted(out, less) {
-		sort.Slice(out, less)
-	}
+	})
 	return out
 }
 

@@ -210,15 +210,8 @@ func TestConcurrencyAnnotationCoverage(t *testing.T) {
 		}
 	}
 	wantOwnedFields := map[string]string{
-		"spreadnshare/internal/svc/api.Server.fin":            "scheduler",
-		"spreadnshare/internal/svc/api.Server.stopErr":        "scheduler",
-		"spreadnshare/internal/svc/api.Server.due":            "scheduler",
-		"spreadnshare/internal/par.Pool.fn":                   "poolbatch",
-		"spreadnshare/internal/par.Pool.n":                    "poolbatch",
-		"spreadnshare/internal/placement.SimState.mutIDs":     "mutbatch",
-		"spreadnshare/internal/placement.SimState.mutRes":     "mutbatch",
-		"spreadnshare/internal/placement.SimState.mutRelease": "mutbatch",
-		"spreadnshare/internal/placement.SimState.mutDeltas":  "mutbatch",
+		"spreadnshare/internal/svc/api.Server.fin":     "scheduler",
+		"spreadnshare/internal/svc/api.Server.stopErr": "scheduler",
 	}
 	for key, owner := range wantOwnedFields {
 		if got := ownedFields[key]; got != owner {
@@ -235,11 +228,7 @@ func TestConcurrencyAnnotationCoverage(t *testing.T) {
 	wantMarked := map[string][]string{
 		"sns:goroutine": {
 			"(*spreadnshare/internal/svc/api.Server).run",
-			"(*spreadnshare/internal/par.Pool).Run",
-			"(*spreadnshare/internal/par.Pool).loop",
 			"spreadnshare/internal/trace.simulate",
-			"(*spreadnshare/internal/placement.SimState).applySpan",
-			"(*spreadnshare/internal/placement.SimState).mutTask",
 		},
 		"sns:dispatch": {
 			"(*spreadnshare/internal/svc/api.Server).exec",
@@ -250,7 +239,6 @@ func TestConcurrencyAnnotationCoverage(t *testing.T) {
 			"spreadnshare/internal/svc.Restore",
 			"spreadnshare/internal/svc/api.New",
 			"spreadnshare/internal/svc/api.Load",
-			"(*spreadnshare/internal/placement.SimState).SetMutWorkers",
 		},
 	}
 	for marker, names := range wantMarked {
@@ -304,23 +292,6 @@ func TestHotpathCoverage(t *testing.T) {
 		"(*spreadnshare/internal/placement.ScoreCache).prepare",
 		"(*spreadnshare/internal/placement.ScoreCache).fold",
 		"(*spreadnshare/internal/placement.ScoreCache).walk",
-		"(*spreadnshare/internal/placement.ScoreCache).walkFrom",
-		"(*spreadnshare/internal/placement.Search).findDemandSharded",
-		"(*spreadnshare/internal/placement.Search).mergeShards",
-		"(*spreadnshare/internal/placement.shardRun).scan",
-		"(*spreadnshare/internal/placement.shardRun).scanBucket",
-		"(*spreadnshare/internal/placement.shardRun).collect",
-		"(*spreadnshare/internal/placement.shardRun).deepen",
-		"(*spreadnshare/internal/placement.ShardSet).update",
-		"(*spreadnshare/internal/placement.ShardSet).shardOf",
-		"(*spreadnshare/internal/placement.CoreIndex).shiftTo",
-		"(*spreadnshare/internal/placement.CoreIndex).applyCounts",
-		"(*spreadnshare/internal/placement.SimState).applySpan",
-		"(*spreadnshare/internal/placement.SimState).mutTask",
-		"(*spreadnshare/internal/sim.Queue).PopBatch",
-		"(*spreadnshare/internal/par.Pool).Run",
-		"spreadnshare/internal/par.Merge",
-		"spreadnshare/internal/par.mergeTree",
 	}
 	for _, name := range required {
 		if !covered[name] {
@@ -361,7 +332,6 @@ func TestStateAnnotationCoverage(t *testing.T) {
 	wantDerived := map[string]string{
 		"spreadnshare/internal/svc.Job.req":             "buildReq",
 		"spreadnshare/internal/svc.Cluster.search":      "New",
-		"spreadnshare/internal/svc.Cluster.shards":      "New",
 		"spreadnshare/internal/svc.Cluster.audit":       "New",
 		"spreadnshare/internal/svc.Cluster.byName":      "Restore",
 		"spreadnshare/internal/svc.Cluster.counts":      "Restore",

@@ -85,9 +85,6 @@ func NewScoreCache(nodes, cores int) *ScoreCache {
 	return c
 }
 
-// Len returns the number of cached nodes.
-func (c *ScoreCache) Len() int { return len(c.score) }
-
 // Invalidate marks a node's memoized score stale. Backends must call it
 // (directly or via their change hook) after every mutation that can
 // move the node's free-core count, allocated ways, or allocated
@@ -162,9 +159,9 @@ func (c *ScoreCache) flush(idx *CoreIndex, score func(id int) float64) {
 	}
 	// Drain the round's whole batch in ascending node-id order: the
 	// rescore sequence becomes a canonical function of the dirty SET,
-	// independent of the arrival order the round's mutations (serial
-	// loops or parallel span tasks) pushed it in, and the backend reads
-	// walk the capacity arrays sequentially instead of in plan order.
+	// independent of the arrival order the round's mutations pushed it
+	// in, and the backend reads walk the capacity arrays sequentially
+	// instead of in plan order.
 	//lint:allocfree slices.Sort is an in-place pdqsort over the dirty stack's own backing
 	slices.Sort(c.dirty)
 	for _, id := range c.dirty {
@@ -253,64 +250,6 @@ func (c *ScoreCache) walk(f int, idx *CoreIndex, fn func(id int32, score float64
 	a, b := c.base[f], c.over[f]
 	i, j := 0, 0
 	prev := cacheEntry{id: -1}
-	for i < len(a) || j < len(b) {
-		var e cacheEntry
-		if j >= len(b) || (i < len(a) && entryLess(a[i], b[j]) <= 0) {
-			e = a[i]
-			i++
-		} else {
-			e = b[j]
-			j++
-		}
-		if e == prev {
-			continue
-		}
-		if !c.live(e, f, idx) {
-			continue
-		}
-		prev = e
-		//lint:allocfree fn is the cached search's stack closure; the runtime alloc gate verifies the walk allocates nothing
-		if !fn(e.id, e.score) {
-			return
-		}
-	}
-}
-
-// searchAfter returns the index of the first entry in the sorted list s
-// ordering strictly after key — the resume position for a walk whose
-// last emitted entry was key.
-//
-//sns:hotpath
-func searchAfter(s []cacheEntry, key cacheEntry) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if entryLess(s[mid], key) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// walkFrom is walk resuming strictly after a previously emitted key:
-// both lists are positioned past `after` by binary search, then the
-// two-way merge continues as if the original walk had never stopped.
-// The sharded kernel's deepening rescans rest on it — a shard that
-// collected its bounded prefix and later turns out to need more picks
-// up where it left off in O(log bucket) instead of re-walking (and
-// re-filtering) the prefix. Valid only while the bucket is unchanged
-// since the walk that emitted `after`: same flush, no prepare folds in
-// between — which holds within one placement query, the only scope the
-// kernel resumes across.
-//
-//sns:hotpath
-func (c *ScoreCache) walkFrom(f int, idx *CoreIndex, after cacheEntry, fn func(id int32, score float64) bool) {
-	a, b := c.base[f], c.over[f]
-	i := searchAfter(a, after)
-	j := searchAfter(b, after)
-	prev := after
 	for i < len(a) || j < len(b) {
 		var e cacheEntry
 		if j >= len(b) || (i < len(a) && entryLess(a[i], b[j]) <= 0) {

@@ -10,8 +10,12 @@ import (
 )
 
 // cacheHarness drives two identical simulated clusters through the same
-// mutation schedule: one searched through the incremental score cache,
-// one from scratch. Every query must return the identical node list —
+// mutation schedule: one searched through the incremental score cache
+// and wired the way svc.New wires production (span mutations through
+// ReserveSpan/ReleaseSpan + InvalidateSpan), one searched from scratch
+// and mutated only by per-node Reserve/Release — the ground truth
+// ReserveSpan's doc comment promises to match. Every query must find the
+// two backends in identical state and return the identical node list —
 // the bit-identical-digest contract — and the cache must pass its own
 // audit after every step.
 type cacheHarness struct {
@@ -22,14 +26,13 @@ type cacheHarness struct {
 	cs     *Search // searches through cs.Cache
 	ps     *Search // rescoring from scratch
 	held   [][]Reservation
+	spans  []heldSpan
+}
 
-	// Optional third cluster searched through a sharded kernel — see
-	// withShards in shard_test.go. When present, every mutation mirrors
-	// into it and every query must agree with the other two and pass the
-	// shard audit.
-	sharded  *SimState
-	ss       *Search
-	shardSet *ShardSet
+// heldSpan is one live uniform span reservation awaiting its release.
+type heldSpan struct {
+	ids []int
+	r   Reservation
 }
 
 func newCacheHarness(nodes int, noGrouping bool) *cacheHarness {
@@ -50,6 +53,7 @@ func newCacheHarness(nodes int, noGrouping bool) *cacheHarness {
 		Cache:      NewScoreCache(nodes, spec.Cores.Int()),
 	}
 	h.cached.SetOnChange(h.cs.Cache.Invalidate)
+	h.cached.SetOnSpanChange(h.cs.Cache.InvalidateSpan)
 	h.ps = &Search{
 		View:       h.plain,
 		Idx:        h.plain.Index(),
@@ -80,9 +84,6 @@ func (h *cacheHarness) reserve(id, cores, ways, bw int) {
 	r := Reservation{Cores: cores, Ways: units.Ways(ways), BW: units.GBps(bw)}
 	eff := h.cached.Reserve(id, r)
 	h.plain.Reserve(id, r)
-	if h.sharded != nil {
-		h.sharded.Reserve(id, r)
-	}
 	h.held[id] = append(h.held[id], eff)
 }
 
@@ -96,15 +97,77 @@ func (h *cacheHarness) release(id int) {
 	h.held[id] = h.held[id][:n-1]
 	h.cached.Release(id, r)
 	h.plain.Release(id, r)
-	if h.sharded != nil {
-		h.sharded.Release(id, r)
+}
+
+// spanReserve applies one uniform reservation across a strided span of
+// distinct nodes, clamped to the span's tightest free capacities so
+// neither backend can underflow: the cached cluster takes it as one
+// ReserveSpan, the plain cluster as one Reserve per node.
+func (h *cacheHarness) spanReserve(i int, op byte) {
+	width := 2 + int(op>>3)%15
+	if width > h.nodes {
+		width = h.nodes
+	}
+	start := (i*29 + int(op)*13) % h.nodes
+	stride := 1 + i%5
+	ids := make([]int, width)
+	for k := range ids {
+		ids[k] = (start + k*stride) % h.nodes
+	}
+	cores := 1 + int(op>>5)
+	ways := int(op>>2) & 3
+	bw := int(op>>4) % 20
+	for _, id := range ids {
+		cores = min(cores, h.cached.Index().Free(id))
+		ways = min(ways, int(h.cached.FreeWays(id)))
+		bw = min(bw, int(h.cached.FreeBW(id)))
+	}
+	if cores <= 0 {
+		return
+	}
+	r := Reservation{Cores: cores, Ways: units.Ways(ways), BW: units.GBps(bw), Intensive: op&0x80 != 0}
+	h.cached.ReserveSpan(ids, r)
+	for _, id := range ids {
+		h.plain.Reserve(id, r)
+	}
+	h.spans = append(h.spans, heldSpan{ids, r})
+}
+
+// spanRelease undoes the most recent live span, if any.
+func (h *cacheHarness) spanRelease() {
+	n := len(h.spans)
+	if n == 0 {
+		return
+	}
+	sp := h.spans[n-1]
+	h.spans = h.spans[:n-1]
+	h.cached.ReleaseSpan(sp.ids, sp.r)
+	for _, id := range sp.ids {
+		h.plain.Release(id, sp.r)
 	}
 }
 
-// query runs the same FindDemand on both searches and fails on the first
-// divergence, then audits the cache against the live backend.
+// sameState fails unless the span-mutated and the per-node-mutated
+// backends agree on every node's capacities, bit for bit.
+func (h *cacheHarness) sameState(t *testing.T) {
+	t.Helper()
+	c, p := h.cached, h.plain
+	for id := 0; id < h.nodes; id++ {
+		//lint:floateq the span contract is bit-identical state, so only exact equality is correct
+		if c.Index().Free(id) != p.Index().Free(id) || c.FreeWays(id) != p.FreeWays(id) ||
+			c.FreeBW(id) != p.FreeBW(id) || c.FreeMem(id) != p.FreeMem(id) ||
+			c.FreeIO(id) != p.FreeIO(id) || c.IntensiveCount(id) != p.IntensiveCount(id) {
+			t.Fatalf("node %d: span-mutated state diverged from per-node state", id)
+		}
+	}
+}
+
+// query checks the two backends hold the same state, runs the same
+// FindDemand on both searches and fails on the first divergence, then
+// audits the cache against the live backend.
 func (h *cacheHarness) query(t *testing.T, n int, d core.Demand) {
 	t.Helper()
+	h.sameState(t)
 	got := h.cs.FindDemand(n, d)
 	want := h.ps.FindDemand(n, d)
 	if len(got) != len(want) {
@@ -118,28 +181,24 @@ func (h *cacheHarness) query(t *testing.T, n int, d core.Demand) {
 	if err := h.cs.Cache.Audit(h.cached, h.cached.Index(), h.spec, h.cs.ScoreBeta()); err != nil {
 		t.Fatalf("after FindDemand(%d, %+v): %v", n, d, err)
 	}
-	if h.ss != nil {
-		sharded := h.ss.FindDemand(n, d)
-		if len(sharded) != len(want) {
-			t.Fatalf("FindDemand(%d, %+v): sharded found %d nodes, plain %d", n, d, len(sharded), len(want))
-		}
-		for i := range sharded {
-			if sharded[i] != want[i] {
-				t.Fatalf("FindDemand(%d, %+v): sharded %v != plain %v", n, d, sharded, want)
-			}
-		}
-		if err := h.shardSet.Audit(h.sharded, h.sharded.Index(), h.spec, h.ss.ScoreBeta()); err != nil {
-			t.Fatalf("after sharded FindDemand(%d, %+v): %v", n, d, err)
-		}
-	}
 }
 
-// step decodes one fuzz byte into a mutation or a query. The decode
-// spreads ids over the whole cluster (31 is coprime with the node
-// counts used) and exercises both the grouped early-stop path (small n)
-// and the accumulate-then-select fallback (large n).
+// step decodes one fuzz byte into a mutation or a query. Three of the
+// eight low-bit patterns are span mutations (two reserves, one release);
+// the rest decode by their low two bits into per-node mutations and
+// queries. The decode spreads ids over the whole cluster (31 is coprime
+// with the node counts used) and exercises both the grouped early-stop
+// path (small n) and the accumulate-then-select fallback (large n).
 func (h *cacheHarness) step(t *testing.T, i int, op byte) {
 	t.Helper()
+	switch op & 7 {
+	case 0, 1:
+		h.spanReserve(i, op)
+		return
+	case 2:
+		h.spanRelease()
+		return
+	}
 	id := (i*31 + int(op)*17) % h.nodes
 	switch op & 3 {
 	case 0:
@@ -170,6 +229,9 @@ func TestCachedSearchEquivalence(t *testing.T) {
 			}
 			// Drain every reservation so release-driven invalidation on
 			// the way back to an idle cluster is covered too.
+			for len(h.spans) > 0 {
+				h.spanRelease()
+			}
 			for id := range h.held {
 				for len(h.held[id]) > 0 {
 					h.release(id)
@@ -227,5 +289,37 @@ func TestCachedSearchSteadyStateAllocs(t *testing.T) {
 	// come from steady-state scratch.
 	if allocs > 1.5 {
 		t.Errorf("steady-state mutate+search allocates %.1f objects/run, want <= 1 (result slice)", allocs)
+	}
+}
+
+// TestSpanSteadyStateAllocs is the zero-alloc gate on the production
+// mutation path: once the dirty stack is warm, a span reserve (serial
+// loop + one InvalidateSpan) + search + span release cycle must allocate
+// nothing beyond the result slice.
+func TestSpanSteadyStateAllocs(t *testing.T) {
+	state := NewSimState(hw.DefaultNodeSpec(), 512)
+	cache := NewScoreCache(512, state.Spec().Cores.Int())
+	s := &Search{View: state, Idx: state.Index(), Spec: state.Spec(), Nodes: 512, Cache: cache}
+	state.SetOnChange(cache.Invalidate)
+	state.SetOnSpanChange(cache.InvalidateSpan)
+	ids := make([]int, 0, 256)
+	for id := 0; id < 512; id += 2 {
+		ids = append(ids, id)
+	}
+	r := Reservation{Cores: 2, Ways: 1, BW: 5}
+	d := core.Demand{Cores: 4}
+	cycle := func() {
+		state.ReserveSpan(ids, r)
+		if s.FindDemand(4, d) == nil {
+			t.Fatal("no placement")
+		}
+		state.ReleaseSpan(ids, r)
+	}
+	for i := 0; i < 300; i++ { // warm the dirty stack and bucket lists
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	if allocs > 1.5 {
+		t.Errorf("steady-state span reserve+search+release allocates %.1f objects/run, want <= 1 (result slice)", allocs)
 	}
 }

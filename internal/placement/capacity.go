@@ -40,8 +40,8 @@ func (s *SimState) ExportCapacity() Capacity {
 // exported state, discarding whatever reservation replay accumulated,
 // and invalidates every node's cached score so no stale score survives
 // the overwrite. Integer state (free cores, ways, intensive counts) is
-// untouched: replay reconstructs it exactly, and the core index and
-// sharded kernel depend only on it.
+// untouched: replay reconstructs it exactly, and the core index
+// depends only on it.
 func (s *SimState) ImportCapacity(c Capacity) error {
 	n := s.Len()
 	if len(c.FreeBW) != n || len(c.FreeMem) != n || len(c.FreeIO) != n {

@@ -95,48 +95,6 @@ func (x *CoreIndex) Update(id, free int) {
 	x.free[id] = free
 }
 
-// shiftTo moves a node to the bucket of its new free-core count like
-// Update, but records the two population changes in the caller-owned
-// delta array instead of the shared counts — the per-task form the
-// parallel mutation pipeline runs. Pipeline tasks own disjoint node ids
-// and disjoint bitset words (ids are word-striped across tasks), so the
-// bit flips and the free[] write race with nothing; only counts is
-// shared across tasks, and it is reconciled serially afterwards through
-// applyCounts.
-//
-//sns:hotpath
-func (x *CoreIndex) shiftTo(id, free int, delta []int) {
-	old := x.free[id]
-	if old == free {
-		return
-	}
-	if free < 0 || free > x.cores {
-		//lint:allocfree Sprintf runs only on the invariant-violation panic path, never on a completed shift
-		panic(fmt.Sprintf("placement: node %d free cores %d outside [0, %d]", id, free, x.cores))
-	}
-	w, bit := id>>6, uint64(1)<<(uint(id)&63)
-	x.buckets[old][w] &^= bit
-	x.buckets[free][w] |= bit
-	delta[old]--
-	delta[free]++
-	x.free[id] = free
-}
-
-// applyCounts folds one task's population deltas into the shared bucket
-// counts and zeroes the delta array for its next batch. Integer
-// addition commutes, so the task merge order is irrelevant: the counts
-// land exactly where the serial Update sequence would put them.
-//
-//sns:hotpath
-func (x *CoreIndex) applyCounts(delta []int) {
-	for f, d := range delta {
-		if d != 0 {
-			x.counts[f] += d
-			delta[f] = 0
-		}
-	}
-}
-
 // Scan visits the nodes with exactly `free` free cores in ascending id
 // order, stopping early (and returning false) when fn returns false.
 // The index must not be mutated during a scan.

@@ -6,7 +6,6 @@ import (
 
 	"spreadnshare/internal/core"
 	"spreadnshare/internal/hw"
-	"spreadnshare/internal/par"
 	"spreadnshare/internal/profiler"
 	"spreadnshare/internal/units"
 )
@@ -150,13 +149,6 @@ type Search struct {
 	// search flushes pending invalidations before each walk, so results
 	// are bit-identical to the from-scratch path.
 	Cache *ScoreCache
-	// Shards, when set via UseShards, is the partitioned kernel:
-	// FindDemand fans each query over the per-shard indexes/caches and
-	// merges the per-shard candidate lists back into the global
-	// (score, id) order, bit-identical to the flat walk at any shard
-	// count and pool width. Attach it with UseShards, never by field
-	// assignment — the query runners are prebuilt there.
-	Shards *ShardSet
 
 	// scratch buffers candidate ids and scores across calls. A Search
 	// serves one scheduling loop, so reuse is safe; both selection
@@ -166,31 +158,6 @@ type Search struct {
 		slots []int
 		heap  []scoredNode
 		pairs []scoredNode
-	}
-
-	// sq is the sharded query's prebuilt state: per-shard runners, the
-	// pool task, and the k-way-merge closures, all constructed once in
-	// UseShards so the per-query hot path allocates nothing but its
-	// result. Mutable fields (n, d, minFree, cursors) are written by
-	// the serial coordinator only; the runners read them after the
-	// pool's happens-before edge.
-	sq struct {
-		runs    []shardRun
-		lists   [][]cacheEntry // per-shard list under merge (bucket or flat)
-		cur     []int          // per-shard merge cursor
-		out     []int          // merge output scratch; copied to a fresh slice per query
-		task    func(i int)    // NoGrouping: full multi-bucket scan
-		taskF   func(i int)    // grouped: scan the single bucket sq.f
-		taskR   func(i int)    // grouped: deepen every truncated shard to the raised bound sq.k
-		emptyFn func(s int) bool
-		lessFn  func(a, b int) bool
-		takeFn  func(s int) bool
-		n       int
-		k       int // per-shard collection bound (adaptive, <= n)
-		f       int // bucket under scan (grouped fan-out)
-		starved int // list the merge stopped on (-1 = none); set by takeFn
-		minFree int
-		d       core.Demand
 	}
 }
 
@@ -370,9 +337,6 @@ func (s *Search) FindDemand(n int, d core.Demand) []int {
 	if n <= 0 {
 		return nil
 	}
-	if s.Shards != nil {
-		return s.findDemandSharded(n, d)
-	}
 	if s.Cache != nil {
 		return s.findDemandCached(n, d)
 	}
@@ -488,384 +452,6 @@ func (s *Search) takeIdlest(pairs []scoredNode, n int) []int {
 	for i := range out {
 		out[i] = pairs[i].id
 	}
-	return out
-}
-
-// shardRun is one shard's per-query runner: the prebuilt closures its
-// scan hands the shard's cache, plus the per-bucket candidate scratch
-// the coordinator merges. Each runner is owned by exactly one pool
-// index, so a sharded query writes no shared state at all.
-type shardRun struct {
-	owner *Search
-	sh    *shard
-	// scoreFn rescores one local id through the canonical global
-	// expression — the same call the flat kernel makes, so cached
-	// floats are bit-identical across shard counts.
-	scoreFn func(lid int) float64
-	// walkFn is the prebuilt walk callback (collect, bound once so the
-	// hot path never constructs a method value).
-	walkFn func(lid int32, score float64) bool
-	// buckets holds, per free-core count, the shard's feasible
-	// candidates in ascending (score, global id) order, truncated at
-	// the query's adaptive bound sq.k — a shard rarely contributes more
-	// than its n/S share of the global top n, and the rare query where
-	// it must rescans at a raised bound.
-	buckets [][]cacheEntry
-	// more records that the last walk of the current bucket stopped at
-	// its bound with entries possibly remaining; bound records that
-	// bound; last is the walk's final emitted (score, local id) key —
-	// the resume point. A deepening continues the walk strictly after
-	// last via walkFrom, so no prefix is ever walked (or fits-filtered)
-	// twice, no matter how many times a query raises a shard's bound.
-	more  bool
-	bound int
-	last  cacheEntry
-	// flat/total serve the NoGrouping path: every feasible candidate
-	// sorted by (score, id) then truncated at n, plus the pre-truncation
-	// count the coordinator's adequacy check needs.
-	flat  []cacheEntry
-	total int
-	// cur is the list collect is currently filling.
-	cur []cacheEntry
-	// flushed marks this shard's cache flushed for the current query;
-	// grouped queries flush lazily on the first bucket that actually
-	// touches the shard.
-	flushed bool
-}
-
-// collect is the shard walk callback: translate to the global id, test
-// feasibility against the shared read-only view, and keep the entry.
-// Grouped queries stop a bucket once sq.k candidates are in hand (the
-// walk emits ascending (score, id), so these are the bucket's best) and
-// flag the truncation for the rescan machinery; NoGrouping queries keep
-// everything for the post-scan sort.
-//
-//sns:hotpath
-func (r *shardRun) collect(lid int32, score float64) bool {
-	r.last = cacheEntry{score: score, id: lid}
-	gid := int32(r.sh.base) + lid
-	if !r.owner.fits(int(gid), r.owner.sq.d) {
-		return true
-	}
-	//lint:allocfree per-shard candidate lists reach steady-state capacity after the first queries
-	r.cur = append(r.cur, cacheEntry{score: score, id: gid})
-	if r.owner.NoGrouping {
-		return true
-	}
-	if len(r.cur) < r.owner.sq.k {
-		return true
-	}
-	r.more = true
-	return false
-}
-
-// scan is one shard's half of a NoGrouping sharded FindDemand, run on a
-// pool worker: every bucket from the demand's core floor up, feasible
-// candidates sorted and truncated at n. It touches only this shard's
-// index, cache, and scratch, plus the read-only query parameters and
-// node view — the no-shared-writes discipline that makes the fan-out
-// race-free and order-insensitive.
-//
-// The shard summary prune: a shard whose local MaxFree is below the
-// demand's core floor has zero feasible candidates in every consulted
-// bucket, so it skips even its cache flush — pending invalidations
-// just wait for a query that can read them.
-//
-//sns:hotpath
-func (r *shardRun) scan() {
-	q := &r.owner.sq
-	r.flat = r.flat[:0]
-	r.total = 0
-	// The flat lists are truncated at n itself, which is as far as any
-	// rescan would ever raise a bound — the merge never starves on them.
-	r.more = false
-	r.bound = q.n
-	sh := r.sh
-	if sh.idx.MaxFree() < q.minFree {
-		return
-	}
-	sh.cache.flush(sh.idx, r.scoreFn)
-	r.cur = r.flat
-	for f := q.minFree; f <= sh.idx.Cores(); f++ {
-		if sh.idx.Count(f) == 0 {
-			continue
-		}
-		sh.cache.prepare(f, sh.idx)
-		sh.cache.walk(f, sh.idx, r.walkFn)
-	}
-	r.total = len(r.cur)
-	//lint:allocfree slices.SortFunc is an in-place pdqsort; entryLess is a top-level func and nothing escapes
-	slices.SortFunc(r.cur, entryLess)
-	if len(r.cur) > q.n {
-		r.cur = r.cur[:q.n]
-	}
-	r.flat = r.cur
-}
-
-// scanBucket is one shard's share of a grouped sharded FindDemand for
-// the single bucket sq.f, run on a pool worker: the shard's feasible
-// prefix (up to sq.k entries) of that free-core group. The coordinator
-// drives buckets serially in ascending order and stops at the first
-// globally adequate one, so — exactly like the flat kernel's early
-// return — higher buckets are never touched.
-//
-// The shard summary prune lives in the Count check: an empty local
-// bucket means the shard contributes nothing, and it skips even its
-// cache flush until a bucket that actually holds nodes comes along.
-//
-//sns:hotpath
-func (r *shardRun) scanBucket() {
-	q := &r.owner.sq
-	sh := r.sh
-	f := q.f
-	r.more = false
-	r.bound = q.k
-	r.buckets[f] = r.buckets[f][:0]
-	if sh.idx.Count(f) == 0 {
-		return
-	}
-	if !r.flushed {
-		sh.cache.flush(sh.idx, r.scoreFn)
-		r.flushed = true
-	}
-	sh.cache.prepare(f, sh.idx)
-	r.cur = r.buckets[f]
-	sh.cache.walk(f, sh.idx, r.walkFn)
-	r.buckets[f] = r.cur
-}
-
-// deepen continues a truncated bucket walk up to the raised absolute
-// bound sq.k: walkFrom resumes strictly after the last emitted key, so
-// the already-collected prefix stays in place and no entry is visited
-// twice. Exact (untruncated) shards and shards already at the bound
-// return after one flag read, which is what lets the adequacy pass fan
-// a deepening over every shard unconditionally.
-//
-//sns:hotpath
-func (r *shardRun) deepen() {
-	if !r.more || r.bound >= r.owner.sq.k {
-		return
-	}
-	q := &r.owner.sq
-	sh := r.sh
-	f := q.f
-	r.more = false
-	r.bound = q.k
-	r.cur = r.buckets[f]
-	sh.cache.walkFrom(f, sh.idx, r.last, r.walkFn)
-	r.buckets[f] = r.cur
-}
-
-// UseShards attaches a sharded kernel to the search and prebuilds its
-// query runners — per-shard score/walk closures, the pool task, and
-// the merge cursor probes — so the per-query path allocates nothing
-// but its result. Set Beta and NoGrouping before calling; a Search
-// queries either its Shards or its flat Cache, never both.
-func (s *Search) UseShards(ss *ShardSet) {
-	s.Shards = ss
-	q := &s.sq
-	q.runs = make([]shardRun, ss.NumShards())
-	q.lists = make([][]cacheEntry, len(q.runs))
-	q.cur = make([]int, len(q.runs))
-	cores := s.Spec.Cores.Int()
-	for i := range q.runs {
-		r := &q.runs[i]
-		r.owner = s
-		r.sh = &ss.shards[i]
-		base := r.sh.base
-		r.scoreFn = func(lid int) float64 {
-			return nodeScoreOf(s.View, s.Spec, base+lid, s.beta())
-		}
-		r.walkFn = r.collect
-		r.buckets = make([][]cacheEntry, cores+1)
-	}
-	q.task = func(i int) { q.runs[i].scan() }
-	q.taskF = func(i int) { q.runs[i].scanBucket() }
-	q.taskR = func(i int) { q.runs[i].deepen() }
-	q.emptyFn = func(i int) bool { return q.cur[i] >= len(q.lists[i]) }
-	q.lessFn = func(a, b int) bool {
-		return entryLess(q.lists[a][q.cur[a]], q.lists[b][q.cur[b]]) < 0
-	}
-	q.takeFn = func(i int) bool {
-		q.out = append(q.out, int(q.lists[i][q.cur[i]].id))
-		q.cur[i]++
-		if len(q.out) >= q.n {
-			return false
-		}
-		if q.cur[i] >= len(q.lists[i]) {
-			// The list is consumed; if it was truncated below n, the
-			// next picks could wrongly skip what it left out. Stop the
-			// merge here — every pick so far is final — so the
-			// coordinator can deepen this one list and resume.
-			if r := &q.runs[i]; r.more && r.bound < q.n {
-				q.starved = i
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// findDemandSharded is FindDemand over the sharded kernel. NoGrouping
-// queries fan the whole multi-bucket scan out once; grouped queries
-// walk buckets in ascending free-core order on the serial coordinator,
-// fanning each non-empty bucket's collection over the shards and
-// stopping at the first globally adequate one — the flat kernel's
-// consulted-bucket set, reproduced exactly, with the per-bucket work
-// divided S ways. Equivalence rests on three facts the tests and the
-// runtime audit pin:
-//
-//   - adequacy is preserved: per bucket, sum(min(feasible_s, b_s)) >= n
-//     implies sum(feasible_s) >= n for any bounds b_s, and once every
-//     truncated shard has been rescanned at bound n the two sides agree
-//     exactly (a shard with >= n feasible alone makes the bucket
-//     adequate), so the grouped path picks the same tightest bucket;
-//   - a merge of per-shard ascending (score, id) prefixes yields the
-//     bucket's global first n so long as no consumed prefix was
-//     truncated below n — mergeShards rescans and redoes the merge when
-//     one was (every global winner is within its own shard's top n, so
-//     bound-n prefixes can never starve);
-//   - the fallback is only reached when the rescan settled the bucket
-//     below n exact candidates, so takeIdlest sees the exact flat
-//     candidate multiset and its total order does the rest.
-//
-// The adaptive bound is the sharding's other half: a shard's expected
-// share of the global top n is n/S, so phase one collects only
-// ceil(n/S)+1 per shard and the whole bucket costs about n entries of
-// walk work across all shards — the flat kernel's own walk length —
-// instead of S*n.
-//
-//sns:hotpath
-func (s *Search) findDemandSharded(n int, d core.Demand) []int {
-	q := &s.sq
-	q.n, q.d = n, d
-	minFree := d.Cores
-	if minFree < 0 {
-		minFree = 0
-	}
-	q.minFree = minFree
-	pool := s.Shards.pool
-	if s.NoGrouping {
-		pool.Run(len(q.runs), q.task)
-		total := 0
-		for i := range q.runs {
-			total += q.runs[i].total
-			q.lists[i] = q.runs[i].flat
-		}
-		if total < n {
-			return nil
-		}
-		return s.mergeShards(n)
-	}
-	k0 := (n+len(q.runs)-1)/len(q.runs) + 1
-	if k0 > n {
-		k0 = n
-	}
-	for i := range q.runs {
-		q.runs[i].flushed = false
-	}
-	all := s.scratch.pairs[:0]
-	for f := minFree; f <= s.Spec.Cores.Int(); f++ {
-		// The shard summary consultation: per-shard bucket counters say
-		// which shards can host at this free level; an all-empty bucket
-		// costs S counter reads and no fan-out at all.
-		pop := 0
-		for i := range q.runs {
-			pop += q.runs[i].sh.idx.Count(f)
-		}
-		if pop == 0 {
-			continue
-		}
-		q.f, q.k = f, k0
-		pool.Run(len(q.runs), q.taskF)
-		cnt := 0
-		truncated := false
-		for i := range q.runs {
-			cnt += len(q.runs[i].buckets[f])
-			truncated = truncated || q.runs[i].more
-		}
-		if cnt == 0 {
-			continue
-		}
-		if cnt < n && truncated {
-			// Inconclusive: the bounded counts understate the bucket.
-			// Rescan the truncated shards at bound n — after that,
-			// cnt >= n exactly when the true feasible count is >= n.
-			q.k = n
-			pool.Run(len(q.runs), q.taskR)
-			cnt = 0
-			for i := range q.runs {
-				cnt += len(q.runs[i].buckets[f])
-			}
-		}
-		if cnt >= n {
-			// The tightest adequate idle-core group: merge its per-shard
-			// prefixes and stop — higher buckets are never consulted,
-			// exactly like the flat walk's early return.
-			for i := range q.runs {
-				q.lists[i] = q.runs[i].buckets[f]
-			}
-			s.scratch.pairs = all
-			return s.mergeShards(n)
-		}
-		// cnt < n after the rescan settles the counts: no shard holds a
-		// truncated list (a bound-n truncation would have pushed cnt to
-		// n), so these are the bucket's exact feasible candidates.
-		for i := range q.runs {
-			for _, e := range q.runs[i].buckets[f] {
-				//lint:allocfree fallback accumulator reuses s.scratch.pairs backing after warm-up
-				all = append(all, scoredNode{id: int(e.id), score: e.score})
-			}
-		}
-	}
-	s.scratch.pairs = all
-	if len(all) < n {
-		return nil
-	}
-	return s.takeIdlest(all, n)
-}
-
-// mergeShards k-way merges the per-shard lists staged in sq.lists by
-// the (score, id) total order and returns the first n global ids. The
-// cursor probes are prebuilt in UseShards; ties cannot occur (shard
-// ranges are disjoint, so (score, id) keys are distinct across lists).
-//
-// Starvation protocol: a pick beyond a shard's adaptive bound is only
-// reachable after every bounded entry of that shard was consumed, so
-// takeFn stops the merge the moment it drains a list truncated below
-// n. Every pick made before that stop is final — all other lists still
-// held their heads as witnesses — so the coordinator just deepens the
-// one starved list (a resumed walk, doubling its bound) and re-enters
-// the merge with all cursors and the output intact. Nothing is ever
-// re-merged or re-walked; the doubling bounds the number of re-entries
-// per shard at log2(n), and the common query never stops at all — the
-// +1 slack in k0 absorbs the typical one-over shard.
-//
-//sns:hotpath
-func (s *Search) mergeShards(n int) []int {
-	q := &s.sq
-	for i := range q.cur {
-		q.cur[i] = 0
-	}
-	q.out = q.out[:0]
-	for {
-		q.starved = -1
-		par.Merge(len(q.lists), q.emptyFn, q.lessFn, q.takeFn)
-		i := q.starved
-		if len(q.out) >= n || i < 0 {
-			break
-		}
-		r := &q.runs[i]
-		q.k = 2 * r.bound
-		if q.k > n {
-			q.k = n
-		}
-		r.deepen()
-		q.lists[i] = r.buckets[q.f]
-	}
-	//lint:allocfree result slice is the caller's product, not reusable scratch
-	out := make([]int, len(q.out))
-	copy(out, q.out)
 	return out
 }
 

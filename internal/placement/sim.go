@@ -2,7 +2,6 @@ package placement
 
 import (
 	"spreadnshare/internal/hw"
-	"spreadnshare/internal/par"
 	"spreadnshare/internal/units"
 )
 
@@ -31,36 +30,6 @@ type SimState struct {
 	// it over the per-node hook; per-node Reserve/Release still fire
 	// onChange.
 	onSpan func(ids []int)
-
-	// shards, when set via Shard, mirrors every free-core change into
-	// the per-shard indexes and dirty sets of the sharded kernel. The
-	// flat idx stays authoritative either way, so the non-FindDemand
-	// paths (Idle, ascendFree, TwoSlot) are untouched by sharding.
-	shards *ShardSet
-
-	// The parallel mutation pipeline (SetMutWorkers): wide span
-	// mutations fan over mut's persistent workers as word-striped tasks
-	// on the global state plus one mirror task per shard. The batch
-	// fields below are the worker hand-off: applySpan publishes them,
-	// the pool's start sends order the writes before every worker's
-	// reads, and wg.Wait orders the reads before applySpan continues —
-	// the same "mutbatch" contract par.Pool's own fn/n fields use for
-	// "poolbatch". Only applySpan and mutTask may touch them.
-	mut    *par.Pool
-	mutMin int // spans narrower than this stay on the serial loops
-	//sns:owner mutbatch
-	mutIDs []int
-	//sns:owner mutbatch
-	mutRes Reservation
-	//sns:owner mutbatch
-	mutRelease bool
-	// mutDeltas[k] is stripe task k's private bucket-population delta
-	// array, merged serially into the shared counts after every batch.
-	//
-	//sns:owner mutbatch
-	mutDeltas [][]int
-	mutTasks  int // stripe task count (the pool width)
-	mutFn     func(i int)
 }
 
 // NewSimState builds an all-idle simulated cluster.
@@ -86,19 +55,6 @@ func NewSimState(spec hw.NodeSpec, nodes int) *SimState {
 // Index returns the free-core index a Search runs over.
 func (s *SimState) Index() *CoreIndex { return s.idx }
 
-// Shard partitions the cluster into count contiguous node-ID shards,
-// seeds them with the current occupancy, and keeps them synchronized
-// with every subsequent Reserve/Release. The returned set is what a
-// Search's UseShards consumes; Close it when the replay ends.
-func (s *SimState) Shard(count int) *ShardSet {
-	ss := NewShardSet(s.spec, s.Len(), count)
-	for id := 0; id < s.Len(); id++ {
-		ss.seed(id, s.idx.Free(id))
-	}
-	s.shards = ss
-	return ss
-}
-
 // SetOnChange registers a hook called with every node id whose
 // reservation state changes. A ScoreCache's Invalidate is the intended
 // subscriber: wiring it here means no Reserve/Release call site can
@@ -111,51 +67,6 @@ func (s *SimState) SetOnChange(fn func(id int)) { s.onChange = fn }
 // intended subscriber; the dirty set it accumulates is identical, the
 // hook overhead is once per placement round.
 func (s *SimState) SetOnSpanChange(fn func(ids []int)) { s.onSpan = fn }
-
-// defaultMutSpanMin is the span width below which the parallel
-// pipeline's dispatch is not worth its two synchronization rounds;
-// narrower spans stay on the serial loops. Tests lower it to force
-// every span through the pipeline.
-const defaultMutSpanMin = 64
-
-// SetMutWorkers routes wide span mutations (ReserveSpan/ReleaseSpan)
-// through a persistent pool of the given width; width <= 1 tears the
-// pipeline down and keeps the serial loops. The resulting state is
-// bit-identical at any width: tasks own disjoint node ids and disjoint
-// bitset words, bucket populations merge by commutative integer
-// addition, and every capacity cell sees exactly the one float op the
-// serial loop would apply. Call CloseMut (or SetMutWorkers(0)) when
-// the backend retires to release the workers.
-//
-// Setup runs before the pipeline has published anything, so it may
-// touch the batch fields freely.
-//
-//sns:ownerinit
-func (s *SimState) SetMutWorkers(width int) {
-	s.CloseMut()
-	if width <= 1 {
-		return
-	}
-	s.mut = par.NewPool(width)
-	s.mutMin = defaultMutSpanMin
-	s.mutTasks = width
-	s.mutDeltas = make([][]int, width)
-	for k := range s.mutDeltas {
-		s.mutDeltas[k] = make([]int, s.spec.Cores.Int()+1)
-	}
-	// Bind the task method once: Run then dispatches the prebuilt value
-	// and the warm path allocates nothing.
-	s.mutFn = s.mutTask
-}
-
-// CloseMut releases the mutation pool's workers, if any; span mutations
-// fall back to the serial loops afterwards.
-func (s *SimState) CloseMut() {
-	if s.mut != nil {
-		s.mut.Close()
-		s.mut = nil
-	}
-}
 
 // Spec returns the per-node hardware spec, the capacity bound the
 // invariant auditor checks free counters against.
@@ -213,9 +124,6 @@ func (s *SimState) Reserve(id int, r Reservation) Reservation {
 	if r.Intensive {
 		s.intensive[id]++
 	}
-	if s.shards != nil {
-		s.shards.update(id, s.idx.Free(id))
-	}
 	if s.onChange != nil {
 		s.onChange(id)
 	}
@@ -226,18 +134,14 @@ func (s *SimState) Reserve(id int, r Reservation) Reservation {
 // to every node in ids — the common SNS/CS footprint shape, where a
 // placement reserves the same amount on thousands of nodes. It batches
 // the whole mutation per event: all capacity arrays are updated first,
-// then the sharded kernel ingests the span in one call, then the change
-// hook fires per node (the score cache's Invalidate is O(1) and
+// then the change hook fires once for the span (or per node when only
+// the per-node hook is set; the score cache's Invalidate is O(1) and
 // coalescing, so notification order carries no cost). The resulting
-// state, shard bookkeeping, and dirty sets are identical to calling
-// Reserve once per node in the same order.
+// state and dirty set are identical to calling Reserve once per node in
+// the same order.
 func (s *SimState) ReserveSpan(ids []int, r Reservation) {
 	if r.Exclusive {
 		panic("placement: ReserveSpan is for uniform reservations; exclusive takes resolve per node")
-	}
-	if s.mut != nil && len(ids) >= s.mutMin {
-		s.applySpan(ids, r, false)
-		return
 	}
 	for _, id := range ids {
 		s.idx.Update(id, s.idx.Free(id)-r.Cores)
@@ -254,12 +158,8 @@ func (s *SimState) ReserveSpan(ids []int, r Reservation) {
 
 // ReleaseSpan undoes a uniform reservation applied by ReserveSpan (or by
 // per-node Reserve calls of the same prototype), with the same batched
-// shard/cache notification as ReserveSpan.
+// cache notification as ReserveSpan.
 func (s *SimState) ReleaseSpan(ids []int, r Reservation) {
-	if s.mut != nil && len(ids) >= s.mutMin {
-		s.applySpan(ids, r, true)
-		return
-	}
 	for _, id := range ids {
 		s.idx.Update(id, s.idx.Free(id)+r.Cores)
 		s.freeWays[id] += r.Ways
@@ -273,124 +173,15 @@ func (s *SimState) ReleaseSpan(ids []int, r Reservation) {
 	s.notifySpan(ids)
 }
 
-// notifySpan feeds one event's whole mutated node set to the sharded
-// kernel and the change hook. The round-coalesced span hook wins over
-// the per-node hook when both are set; the dirty set either leaves
-// behind is identical.
+// notifySpan feeds one event's whole mutated node set to the change
+// hook. The round-coalesced span hook wins over the per-node hook when
+// both are set; the dirty set either leaves behind is identical.
 func (s *SimState) notifySpan(ids []int) {
-	if s.shards != nil {
-		s.shards.updateSpan(ids, s.idx)
-	}
 	if s.onSpan != nil {
 		s.onSpan(ids)
 	} else if s.onChange != nil {
 		for _, id := range ids {
 			s.onChange(id)
-		}
-	}
-}
-
-// applySpan is the parallel form of the ReserveSpan/ReleaseSpan loops:
-// one pool dispatch covers mutTasks word-striped tasks over the global
-// state plus one mirror task per shard, then the serial epilogue merges
-// the per-task bucket populations and fires the coalesced change hook.
-// Determinism does not depend on task scheduling: every per-node write
-// has exactly one owner, the only shared cells (bucket counts) merge by
-// commutative addition, and each capacity cell receives the identical
-// single float op of the serial loop — so the state afterwards is
-// bit-identical to the serial path at any width and shard count.
-//
-// applySpan publishes the batch fields for the workers; the pool's
-// start/wait pair brackets their access, making this a trusted
-// "mutbatch" context like par.Pool.Run is for "poolbatch".
-//
-//sns:goroutine mutbatch
-//sns:hotpath
-func (s *SimState) applySpan(ids []int, r Reservation, release bool) {
-	shardTasks := 0
-	if s.shards != nil {
-		shardTasks = len(s.shards.shards)
-	}
-	s.mutIDs, s.mutRes, s.mutRelease = ids, r, release
-	s.mut.Run(s.mutTasks+shardTasks, s.mutFn)
-	s.mutIDs = nil
-	for _, delta := range s.mutDeltas {
-		s.idx.applyCounts(delta)
-	}
-	if s.onSpan != nil {
-		//lint:allocfree the registered subscriber is ScoreCache.InvalidateSpan, itself a hotpath root vetted by the span pipeline's runtime alloc gate
-		s.onSpan(ids)
-	} else if s.onChange != nil {
-		for _, id := range ids {
-			//lint:allocfree the registered subscriber is ScoreCache.Invalidate, itself a hotpath root vetted by the runtime alloc gates
-			s.onChange(id)
-		}
-	}
-}
-
-// mutTask is one pipeline task. Tasks 0..mutTasks-1 stripe the global
-// mutation by bitset word — task k owns the ids whose word index
-// (id>>6) % mutTasks equals k — so no two tasks ever touch the same
-// bucket word, free counter, capacity cell, or intensive counter, and
-// population deltas go to the task's private array. Tasks past
-// mutTasks each mirror one shard: a span is uniform and non-exclusive,
-// so the shard's new free count comes from its own local index and the
-// mirror runs independently of the stripe tasks. Each task scans the
-// whole id slice and filters; the scan is a sequential read, far
-// cheaper than the mutations it routes. A parked worker touches the
-// batch fields only between its start receive and its Done — the
-// window applySpan publishes them for — so this too is a trusted
-// "mutbatch" context.
-//
-//sns:goroutine mutbatch
-//sns:hotpath
-func (s *SimState) mutTask(i int) {
-	ids, r := s.mutIDs, s.mutRes
-	if i >= s.mutTasks {
-		sh := &s.shards.shards[i-s.mutTasks]
-		lo, hi := sh.base, sh.base+sh.nodes
-		for _, id := range ids {
-			if id < lo || id >= hi {
-				continue
-			}
-			lid := id - sh.base
-			if s.mutRelease {
-				sh.idx.Update(lid, sh.idx.Free(lid)+r.Cores)
-			} else {
-				sh.idx.Update(lid, sh.idx.Free(lid)-r.Cores)
-			}
-			sh.cache.Invalidate(lid)
-		}
-		return
-	}
-	delta := s.mutDeltas[i]
-	if s.mutRelease {
-		for _, id := range ids {
-			if (id>>6)%s.mutTasks != i {
-				continue
-			}
-			s.idx.shiftTo(id, s.idx.Free(id)+r.Cores, delta)
-			s.freeWays[id] += r.Ways
-			s.freeBW[id] += r.BW
-			s.freeMem[id] += r.MemGB
-			s.freeIO[id] += r.IOBW
-			if r.Intensive {
-				s.intensive[id]--
-			}
-		}
-		return
-	}
-	for _, id := range ids {
-		if (id>>6)%s.mutTasks != i {
-			continue
-		}
-		s.idx.shiftTo(id, s.idx.Free(id)-r.Cores, delta)
-		s.freeWays[id] -= r.Ways
-		s.freeBW[id] -= r.BW
-		s.freeMem[id] -= r.MemGB
-		s.freeIO[id] -= r.IOBW
-		if r.Intensive {
-			s.intensive[id]++
 		}
 	}
 }
@@ -404,9 +195,6 @@ func (s *SimState) Release(id int, r Reservation) {
 	s.freeIO[id] += r.IOBW
 	if r.Intensive {
 		s.intensive[id]--
-	}
-	if s.shards != nil {
-		s.shards.update(id, s.idx.Free(id))
 	}
 	if s.onChange != nil {
 		s.onChange(id)

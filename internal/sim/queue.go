@@ -197,46 +197,6 @@ func (q *Queue) Step() bool {
 	return false
 }
 
-// PopBatch pops and runs every pending event sharing the head's
-// timestamp, returning how many fired (0 when the queue is empty).
-// Events fire in seq order within the batch — exactly the order Step
-// would have run them — and lazy-cancelled heads are skipped without
-// counting. An event scheduled during the batch at the very same
-// timestamp joins it (it sorts after everything already firing), which
-// is the Step-loop behavior too; the difference is only that the caller
-// regains control once per timestamp instead of once per event — the
-// coalesced finish path releases a whole clump of simultaneous
-// completions, then runs one scheduling round.
-//
-//sns:hotpath
-func (q *Queue) PopBatch() int {
-	fired := 0
-	t := 0.0
-	for len(q.h) > 0 {
-		e := q.h[0]
-		if e.cancelled {
-			heap.Pop(&q.h)
-			q.dead--
-			q.release(e)
-			continue
-		}
-		//lint:floateq exact tie detection — events share a batch only at the identical timestamp
-		if fired > 0 && e.Time != t {
-			break
-		}
-		heap.Pop(&q.h)
-		t = e.Time
-		q.now = e.Time
-		//lint:allocfree event callbacks are the simulation's work, vetted by their own gates
-		e.Fn()
-		// Recycle only after Fn returns: the callback may legally cancel
-		// or inspect the event that invoked it.
-		q.release(e)
-		fired++
-	}
-	return fired
-}
-
 // Run drives the queue until empty or until the clock passes horizon
 // (horizon <= 0 means no limit). It returns the number of events fired.
 //

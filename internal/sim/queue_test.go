@@ -109,140 +109,6 @@ func TestQueueEventsScheduleEvents(t *testing.T) {
 	}
 }
 
-func TestQueuePopBatchDrainsTies(t *testing.T) {
-	var q Queue
-	var got []int
-	for i := 0; i < 5; i++ {
-		i := i
-		q.At(2, func() { got = append(got, i) })
-	}
-	q.At(3, func() { got = append(got, 100) })
-	if n := q.PopBatch(); n != 5 {
-		t.Fatalf("PopBatch fired %d, want the 5-event tie", n)
-	}
-	if q.Now() != 2 {
-		t.Errorf("Now = %g after batch, want 2", q.Now())
-	}
-	for i := 0; i < 5; i++ {
-		if got[i] != i {
-			t.Fatalf("tied events fired out of seq order: %v", got)
-		}
-	}
-	if n := q.PopBatch(); n != 1 {
-		t.Fatalf("singleton batch fired %d, want 1", n)
-	}
-	if got[5] != 100 || q.Now() != 3 {
-		t.Fatalf("singleton batch: got %v, now %g", got, q.Now())
-	}
-	if n := q.PopBatch(); n != 0 {
-		t.Fatalf("empty queue batch fired %d, want 0", n)
-	}
-}
-
-func TestQueuePopBatchSkipsCancelledHeads(t *testing.T) {
-	var q Queue
-	var got []int
-	// Cancelled events at the head, inside a tie, and between batches
-	// must all be skipped without counting or perturbing order.
-	c1 := q.At(1, func() { got = append(got, -1) })
-	q.At(2, func() { got = append(got, 0) })
-	c2 := q.At(2, func() { got = append(got, -2) })
-	q.At(2, func() { got = append(got, 1) })
-	c3 := q.At(3, func() { got = append(got, -3) })
-	q.At(4, func() { got = append(got, 2) })
-	q.Cancel(c1)
-	q.Cancel(c2)
-	q.Cancel(c3)
-	if n := q.PopBatch(); n != 2 {
-		t.Fatalf("batch past cancelled heads fired %d, want 2", n)
-	}
-	if q.Now() != 2 {
-		t.Errorf("Now = %g, want 2 (cancelled head must not set the clock)", q.Now())
-	}
-	if n := q.PopBatch(); n != 1 {
-		t.Fatalf("final batch fired %d, want 1", n)
-	}
-	want := []int{0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
-	}
-}
-
-func TestQueuePopBatchJoinsSameTimeReschedule(t *testing.T) {
-	// An event scheduled during the batch at the identical timestamp
-	// joins it — the Step-loop behavior the batch must preserve.
-	var q Queue
-	var got []int
-	q.At(1, func() {
-		got = append(got, 0)
-		q.At(1, func() { got = append(got, 1) })
-		q.At(2, func() { got = append(got, 2) })
-	})
-	if n := q.PopBatch(); n != 2 {
-		t.Fatalf("batch with same-time reschedule fired %d, want 2", n)
-	}
-	if n := q.PopBatch(); n != 1 {
-		t.Fatalf("follow-up batch fired %d, want 1", n)
-	}
-	want := []int{0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
-	}
-}
-
-// Property: driving a queue by PopBatch fires exactly the Step-loop
-// sequence, batch boundaries landing precisely on timestamp changes.
-func TestQueuePopBatchMatchesStep(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		count := int(n%60) + 1
-		times := make([]float64, count)
-		for i := range times {
-			// Coarse grid so exact ties are common.
-			times[i] = float64(rng.Intn(8))
-		}
-		var qs, qb Queue
-		var fs, fb []float64
-		for _, tt := range times {
-			tt := tt
-			qs.At(tt, func() { fs = append(fs, tt) })
-			qb.At(tt, func() { fb = append(fb, tt) })
-		}
-		for qs.Step() {
-		}
-		total := 0
-		for {
-			n := qb.PopBatch()
-			if n == 0 {
-				break
-			}
-			// Every event of a batch shares the head timestamp.
-			for _, tt := range fb[total : total+n] {
-				if tt != qb.Now() {
-					return false
-				}
-			}
-			total += n
-		}
-		if len(fs) != len(fb) {
-			return false
-		}
-		for i := range fs {
-			if fs[i] != fb[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: for any set of times, events fire in nondecreasing time order
 // and the clock matches the sorted sequence.
 func TestQueueOrderProperty(t *testing.T) {

@@ -91,11 +91,6 @@ type Server struct {
 	//
 	//sns:owner scheduler
 	fin finishHeap
-	// due is completeDue's batch scratch: the ids of one same-horizon
-	// completion clump, handed to ReleaseRound as a unit.
-	//
-	//sns:owner scheduler
-	due []int
 	// stopErr is written by the scheduler goroutine during drainAndStop;
 	// Shutdown reads it only after <-done orders the write before it.
 	//
@@ -225,9 +220,8 @@ func (s *Server) Start() {
 
 // Shutdown stops the scheduler goroutine: it drains every accepted
 // mutation (no op that got a 202 is lost), runs a final round, writes
-// the snapshot when configured, and releases the core's worker pool.
-// Stop the HTTP listener before calling it; requests racing shutdown get
-// 503.
+// the snapshot when configured, and closes the core. Stop the HTTP
+// listener before calling it; requests racing shutdown get 503.
 func (s *Server) Shutdown() error {
 	s.once.Do(func() { close(s.quit) })
 	<-s.done
@@ -322,31 +316,21 @@ func (s *Server) run() {
 	}
 }
 
-// completeDue fires every completion at or before the virtual now. Jobs
-// complete at their predicted horizon (not the wall-derived now), so the
-// recorded finish times match what a simulation of the same stream
-// produces. Heads sharing one predicted horizon drain into a single
-// batched release round: the heap pops them in (finish, id) order
-// either way and the caller runs the one admission round afterwards, so
-// the batch is exactly the per-entry loop with fewer calls — and each
-// job's span still releases through the parallel mutation pipeline when
-// the core has one.
+// completeDue fires every completion at or before the virtual now, in
+// the heap's (finish, id) order; the caller runs the one admission round
+// afterwards. Jobs complete at their predicted horizon (not the
+// wall-derived now), so the recorded finish times match what a
+// simulation of the same stream produces.
 func (s *Server) completeDue(now float64) {
-	s.due = s.due[:0]
 	for len(s.fin) > 0 && s.fin[0].finish <= now {
-		finish := s.fin[0].finish
-		for len(s.fin) > 0 && s.fin[0].finish == finish { //lint:floateq exact tie = one release round
-			e := heap.Pop(&s.fin).(finishEntry)
-			j, ok := s.cfg.Core.Job(e.id)
-			if !ok || j.State != svc.Running {
-				continue // cancelled while running: already released
-			}
-			s.due = append(s.due, e.id)
+		e := heap.Pop(&s.fin).(finishEntry)
+		j, ok := s.cfg.Core.Job(e.id)
+		if !ok || j.State != svc.Running {
+			continue // cancelled while running: already released
 		}
-		if err := s.cfg.Core.ReleaseRound(s.due, finish); err != nil {
+		if err := s.cfg.Core.Complete(e.id, e.finish); err != nil {
 			panic(err) // the heap only holds running jobs
 		}
-		s.due = s.due[:0]
 	}
 }
 

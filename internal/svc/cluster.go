@@ -42,8 +42,6 @@ type Cluster struct {
 	counts [4]int // jobs per JobState
 
 	//sns:derived New
-	shards *placement.ShardSet
-	//sns:derived New
 	audit func(now float64)
 	//lint:statefield round-local scratch; the next ScheduleRound rebuilds it from zero
 	placed []*Job // ScheduleRound result scratch
@@ -56,12 +54,6 @@ type Cluster struct {
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("svc: cluster needs nodes, got %d", cfg.Nodes)
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("svc: negative shard count %d", cfg.Shards)
-	}
-	if cfg.MutWorkers < 0 {
-		return nil, fmt.Errorf("svc: negative mutation worker count %d", cfg.MutWorkers)
 	}
 	if err := cfg.Node.Validate(); err != nil {
 		return nil, fmt.Errorf("svc: bad node spec: %w", err)
@@ -81,18 +73,11 @@ func New(cfg Config) (*Cluster, error) {
 		MaxScale:     cfg.MaxScale,
 		HasIntensive: state.HasIntensive,
 	}
-	switch {
-	case cfg.Shards > 0:
-		c.shards = state.Shard(cfg.Shards)
-		c.search.UseShards(c.shards)
-	case !cfg.NoScoreCache:
+	if !cfg.NoScoreCache {
 		cache := placement.NewScoreCache(cfg.Nodes, cfg.Node.Cores.Int())
 		state.SetOnChange(cache.Invalidate)
 		state.SetOnSpanChange(cache.InvalidateSpan)
 		c.search.Cache = cache
-	}
-	if cfg.MutWorkers > 1 {
-		state.SetMutWorkers(cfg.MutWorkers)
 	}
 	if invariant.Active() {
 		label := cfg.AuditLabel
@@ -111,22 +96,16 @@ func New(cfg Config) (*Cluster, error) {
 			if aud.Begin() {
 				aud.CheckSimState(c.state)
 				aud.CheckScoreCache(c.search)
-				aud.CheckShardedIndex(c.search)
 			}
 		}
 	}
 	return c, nil
 }
 
-// Close releases the sharded kernel's worker pool and the mutation
-// pipeline's, if any. The core stays usable afterwards; sharded queries
-// and span mutations just run serially.
-func (c *Cluster) Close() {
-	if c.shards != nil {
-		c.shards.Close()
-	}
-	c.state.CloseMut()
-}
+// Close has nothing to release: the core holds no goroutines, pools or
+// files. The method stays because every owner (the daemon, the replays,
+// the benchmark) pairs New/Restore with a deferred Close.
+func (c *Cluster) Close() {}
 
 // Config returns the core's configuration.
 func (c *Cluster) Config() Config { return c.cfg }
@@ -338,24 +317,6 @@ func (c *Cluster) Complete(id int, now float64) error {
 	c.release(j)
 	j.FinishSec = now
 	c.toDone(j)
-	return nil
-}
-
-// ReleaseRound completes every job in ids at time now — the finish-side
-// mirror of batched admission. A caller that drained a clump of
-// same-timestamp finish events hands the whole clump here and runs one
-// ScheduleRound after, instead of a round per event; each job's span
-// still releases through the parallel mutation pipeline when one is
-// configured. Completion order is the ids order, so callers that need
-// determinism pass a deterministically ordered batch (the simulators
-// pass event order, the daemon (finish, id) heap order). The first
-// failure stops the batch and is returned.
-func (c *Cluster) ReleaseRound(ids []int, now float64) error {
-	for _, id := range ids {
-		if err := c.Complete(id, now); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -4,7 +4,7 @@
 // closed-trace simulators and the long-running daemon (cmd/snsd).
 //
 // The core owns a placement.SimState (capacity bookkeeping + free-core
-// index, optionally sharded or score-cached), the aging placement.Pending
+// index, score-cached unless disabled), the aging placement.Pending
 // queue, and the job lifecycle:
 //
 //	submitted ── Submit ──▶ Queued ── ScheduleRound ──▶ Running ── Complete ──▶ Done
@@ -52,15 +52,6 @@ type Config struct {
 	// NoScoreCache disables the incremental score cache (the
 	// from-scratch reference path; placements are bit-identical).
 	NoScoreCache bool
-	// Shards, when > 0, partitions the kernel into that many node-range
-	// shards scanned concurrently. Takes precedence over the flat score
-	// cache.
-	Shards int
-	// MutWorkers, when > 1, applies wide reservation spans through the
-	// parallel mutation pipeline at that worker width (0 or 1 = serial).
-	// State is bit-identical at any width; only the cost of wide
-	// placements and releases changes.
-	MutWorkers int
 	// AuditLabel names the runtime invariant auditor attached when
 	// auditing is active ("" = "svc").
 	AuditLabel string

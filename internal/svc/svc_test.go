@@ -3,6 +3,7 @@ package svc
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,7 +64,6 @@ func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{Node: node, Nodes: 0},
 		{Node: node, Nodes: -4},
-		{Node: node, Nodes: 16, Shards: -1},
 		{Nodes: 16}, // zero node spec fails hw validation
 	}
 	for i, cfg := range cases {
@@ -279,6 +279,12 @@ func TestBatchedAdmissionEquivalence(t *testing.T) {
 // TestSnapshotRestore round-trips a mid-flight core — running jobs,
 // queued jobs, finished and cancelled ones — and checks the restored
 // core carries bit-identical state and schedules identically afterwards.
+// The second document is what a daemon started with the retired
+// -shards/-mutworkers flags wrote: Config is serialised whole, so its
+// snapshots carry two keys this build no longer has. Placements were
+// shard- and width-invariant by contract, so ignoring the keys is
+// correct; the case pins that Restore keeps tolerating unknown config
+// keys (no DisallowUnknownFields without a snapshotVersion bump).
 func TestSnapshotRestore(t *testing.T) {
 	c, db, _ := testCore(t, placement.SNS, 16)
 	model := PolicyRuntime(placement.SNS, c.Config().Node)
@@ -299,34 +305,46 @@ func TestSnapshotRestore(t *testing.T) {
 	if err := c.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore(bytes.NewReader(buf.Bytes()), db)
-	if err != nil {
-		t.Fatal(err)
+	fresh := buf.String()
+	docs := []struct{ name, doc string }{
+		{"fresh", fresh},
+		{"retired kernel knobs", strings.Replace(fresh, `"config":{`, `"config":{"Shards":64,"MutWorkers":8,`, 1)},
 	}
-	defer r.Close()
+	if docs[1].doc == fresh {
+		t.Fatal("could not inject the retired keys into the snapshot's config")
+	}
+	restored := make([]*Cluster, len(docs))
+	for i, d := range docs {
+		r, err := Restore(strings.NewReader(d.doc), db)
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		defer r.Close()
+		restored[i] = r
 
-	if got, want := r.Stats(), c.Stats(); got != want {
-		t.Fatalf("restored stats = %+v, want %+v", got, want)
-	}
-	c.Each(func(orig *Job) {
-		got, ok := r.Job(orig.ID)
-		if !ok {
-			t.Fatalf("job %d lost in restore", orig.ID)
+		if got, want := r.Stats(), c.Stats(); got != want {
+			t.Fatalf("%s: restored stats = %+v, want %+v", d.name, got, want)
 		}
-		if got.State != orig.State || got.SubmitSec != orig.SubmitSec || //lint:floateq round-trip must be exact
-			got.StartSec != orig.StartSec || got.FinishSec != orig.FinishSec || //lint:floateq round-trip must be exact
-			got.Scale != orig.Scale || got.NodesUsed != orig.NodesUsed {
-			t.Fatalf("job %d restored as %+v, want %+v", orig.ID, got, orig)
+		c.Each(func(orig *Job) {
+			got, ok := r.Job(orig.ID)
+			if !ok {
+				t.Fatalf("%s: job %d lost in restore", d.name, orig.ID)
+			}
+			if got.State != orig.State || got.SubmitSec != orig.SubmitSec || //lint:floateq round-trip must be exact
+				got.StartSec != orig.StartSec || got.FinishSec != orig.FinishSec || //lint:floateq round-trip must be exact
+				got.Scale != orig.Scale || got.NodesUsed != orig.NodesUsed {
+				t.Fatalf("%s: job %d restored as %+v, want %+v", d.name, orig.ID, got, orig)
+			}
+			if got.Spec.Profile == nil && orig.Spec.Profile != nil {
+				t.Fatalf("%s: job %d profile not re-resolved", d.name, orig.ID)
+			}
+		})
+		if _, ok := r.JobByName("mg-1"); !ok {
+			t.Fatalf("%s: name index lost in restore", d.name)
 		}
-		if got.Spec.Profile == nil && orig.Spec.Profile != nil {
-			t.Fatalf("job %d profile not re-resolved", orig.ID)
-		}
-	})
-	if _, ok := r.JobByName("mg-1"); !ok {
-		t.Fatal("name index lost in restore")
 	}
 
-	// Both cores now release the running jobs and run a round: the
+	// Every core now releases the running jobs and runs a round: the
 	// queued whole-cluster job must place identically.
 	finish := func(core *Cluster) *Job {
 		core.Each(func(j *Job) {
@@ -340,13 +358,11 @@ func TestSnapshotRestore(t *testing.T) {
 		}
 		return placed[0]
 	}
-	a, b := finish(c), finish(r)
-	if a.ID != b.ID || a.FinishSec != b.FinishSec || len(a.Nodes) != len(b.Nodes) { //lint:floateq bit-identity is the contract under test
-		t.Fatalf("post-restore rounds diverge: %+v vs %+v", a, b)
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			t.Fatalf("post-restore node sets diverge: %v vs %v", a.Nodes, b.Nodes)
+	a := finish(c)
+	for i, r := range restored {
+		b := finish(r)
+		if a.ID != b.ID || a.FinishSec != b.FinishSec || !slices.Equal(a.Nodes, b.Nodes) { //lint:floateq bit-identity is the contract under test
+			t.Fatalf("%s: post-restore rounds diverge: %+v vs %+v", docs[i].name, a, b)
 		}
 	}
 }

@@ -89,7 +89,6 @@ func TestSimConfigValidate(t *testing.T) {
 	}{
 		{"zero nodes", mod(func(c *SimConfig) { c.ClusterNodes = 0 }), jobs, true, "cluster needs nodes"},
 		{"bad cores", mod(func(c *SimConfig) { c.CoresPerJobNode = 99 }), jobs, true, "CoresPerJobNode"},
-		{"negative shards", mod(func(c *SimConfig) { c.Shards = -2 }), jobs, true, "shard count"},
 		{"negative scan", mod(func(c *SimConfig) { c.ScanDepth = -1 }), jobs, true, "scan depth"},
 		{"no jobs", base, nil, true, "no jobs"},
 		{"nil db", base, jobs, false, "profile DB is nil"},

@@ -53,29 +53,6 @@ type SimConfig struct {
 	// equivalence tests and benchmarks compare against. The two paths
 	// produce bit-identical placements; only the cost differs.
 	NoScoreCache bool
-	// Shards, when > 0, partitions the kernel into that many node-range
-	// shards and fans placement queries over them concurrently (width =
-	// par.Workers() at replay start). Placements stay bit-identical to
-	// the flat kernel at any shard count; Shards takes precedence over
-	// the flat score cache (each shard carries its own).
-	Shards int
-	// MutWorkers, when > 1, applies wide reservation spans through the
-	// core's parallel mutation pipeline at that worker width (0 or 1 =
-	// serial). Replays are bit-identical at any width; only the cost of
-	// wide placements and releases changes.
-	MutWorkers int
-	// CoalesceFinish drains every clump of same-timestamp completion
-	// events into one batched release round (svc.ReleaseRound) followed
-	// by one scheduling round — the daemon's completeDue semantics —
-	// instead of a round per completion event. Unlike batched admission
-	// this is NOT bit-identical in general: when simultaneous
-	// completions free resources that a backfill round would have
-	// consumed incrementally, the coalesced round can place queued jobs
-	// earlier or elsewhere (it sees the whole clump's capacity at
-	// once). Replays that need the event-per-completion reference
-	// digests leave it off; replays standing in for the live daemon turn
-	// it on.
-	CoalesceFinish bool
 }
 
 // DefaultSimConfig returns the paper's settings for a cluster size.
@@ -101,12 +78,6 @@ func (cfg SimConfig) Validate(jobs []Job, db *profiler.DB, node hw.NodeSpec) err
 	}
 	if cfg.CoresPerJobNode <= 0 || cfg.CoresPerJobNode > node.Cores.Int() {
 		return fmt.Errorf("trace: bad CoresPerJobNode %d (node has %d cores)", cfg.CoresPerJobNode, node.Cores.Int())
-	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("trace: negative shard count %d", cfg.Shards)
-	}
-	if cfg.MutWorkers < 0 {
-		return fmt.Errorf("trace: negative mutation worker count %d", cfg.MutWorkers)
 	}
 	if cfg.ScanDepth < 0 {
 		return fmt.Errorf("trace: negative backfill scan depth %d", cfg.ScanDepth)
@@ -175,12 +146,6 @@ type simulator struct {
 	// (trace slice order); the two orders differ when a trace file is
 	// not submit-sorted.
 	outs []*SimJob
-	// coalesce selects the batched finish path: completion events only
-	// buffer their job id into finished, and the event loop drains every
-	// same-timestamp clump through one ReleaseRound plus one scheduling
-	// round (instead of a round per completion event).
-	coalesce bool
-	finished []int
 }
 
 // Simulate replays a mapped trace on a cluster of the given node type.
@@ -224,8 +189,6 @@ func simulate(jobs []Job, db *profiler.DB, node hw.NodeSpec, cfg SimConfig, batc
 		ScanDepth:      cfg.ScanDepth,
 		AgingPeriodSec: 1,
 		NoScoreCache:   cfg.NoScoreCache,
-		Shards:         cfg.Shards,
-		MutWorkers:     cfg.MutWorkers,
 		AuditLabel:     "trace",
 	})
 	if err != nil {
@@ -233,11 +196,10 @@ func simulate(jobs []Job, db *profiler.DB, node hw.NodeSpec, cfg SimConfig, batc
 	}
 	defer core.Close()
 	s := &simulator{
-		q:        &sim.Queue{},
-		core:     core,
-		model:    svc.PolicyRuntime(cfg.Policy, node),
-		outs:     make([]*SimJob, 0, len(jobs)),
-		coalesce: cfg.CoalesceFinish,
+		q:     &sim.Queue{},
+		core:  core,
+		model: svc.PolicyRuntime(cfg.Policy, node),
+		outs:  make([]*SimJob, 0, len(jobs)),
 	}
 	res := &Result{Policy: cfg.Policy}
 	// Build every job's spec (and fail on unplaceable or unprofiled
@@ -295,29 +257,7 @@ func simulate(jobs []Job, db *profiler.DB, node hw.NodeSpec, cfg SimConfig, batc
 		})
 		lo = hi
 	}
-	if s.coalesce {
-		// Coalesced finish loop: each PopBatch fires every event sharing
-		// one timestamp. Submission events run their own admission round
-		// (the pre-registered burst callbacks, which sort before any
-		// finish event minted mid-replay); completion events only buffer
-		// job ids, and the whole clump releases in one ReleaseRound
-		// followed by one round — PR 7's batched admission, mirrored on
-		// the finish side.
-		for s.q.PopBatch() > 0 {
-			if len(s.finished) == 0 {
-				continue
-			}
-			if err := s.core.ReleaseRound(s.finished, s.q.Now()); err != nil {
-				// The buffer only ever holds running jobs; a rejection is
-				// a programming error, same as the serial Complete path.
-				panic(err)
-			}
-			s.finished = s.finished[:0]
-			s.schedule()
-		}
-	} else {
-		s.q.Run(0)
-	}
+	s.q.Run(0)
 	if n := s.core.QueuedLen(); n > 0 {
 		first, _ := s.core.FirstQueued()
 		tj := s.outs[first.ID].Trace
@@ -359,12 +299,6 @@ func (s *simulator) schedule() {
 		out.NodesUsed = j.NodesUsed
 		out.Nodes = j.Nodes
 		id := j.ID
-		if s.coalesce {
-			s.q.At(j.FinishSec, func() {
-				s.finished = append(s.finished, id)
-			})
-			continue
-		}
 		s.q.At(j.FinishSec, func() {
 			if err := s.core.Complete(id, s.q.Now()); err != nil {
 				panic(err)

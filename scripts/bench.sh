@@ -8,14 +8,9 @@
 # (BENCH_PR2.json); PR 5 covers the incremental score cache and the
 # deterministic parallel runner: the Trace32K replay set (now cached),
 # the cached-vs-uncached gate replay pair, and the parallel-speedup-x
-# metric (BENCH_PR5.json); PR 6 covers the sharded placement kernel:
-# the 256K/1M-node gate replays sharded versus flat plus the
-# shard-speedup-x metric (BENCH_PR6.json); PR 7 covers the service
-# admission and daemon-latency set (BENCH_PR7.json); PR 10 covers the
-# parallel mutation pipeline: the 256K-node wide-job gate replay serial
-# versus parallel plus the mut-speedup-x metric (BENCH_PR10.json). Pass
-# "pr1", "pr2", "pr5", "pr6", "pr7" or "pr10" to run one set; default
-# is all.
+# metric (BENCH_PR5.json); PR 7 covers the service admission and
+# daemon-latency set (BENCH_PR7.json). Pass "pr1", "pr2", "pr5" or "pr7"
+# to run one set; default is all.
 #
 # The figure-level and trace-replay targets run with -benchtime=1x: the
 # figure studies are cached across b.N iterations (see bench_test.go),
@@ -115,7 +110,7 @@ if [[ "$which" == "all" || "$which" == "pr5" ]]; then
 		cat <<'EOF'
 {
   "issue": "PR 5: incremental score caching for the placement kernel + deterministic parallel experiment runner",
-  "note": "baseline is BENCH_PR2.json's current section (commit 5ba08ff), re-quoted frozen; those runs kept the test-binary invariant auditor live, which the harness now pauses for every root benchmark, so part of the Trace32K delta is harness parity. The full Figure 20 replay places ~2,700 nodes per job, so its time is bounded by per-node reservation mutations the cache cannot remove (cached SNS lands ~1.7x faster end to end, with the ~1 GB of per-query rescoring allocations gone); the CachedReplay32K/UncachedReplay32K pair is the regime the cache exists for — many small jobs on 32K nodes, where queries dominate mutations — and is what TestCachedReplaySpeedup gates at >=4x. avg-turn-s must be bit-identical between the cached and uncached rows. parallel-speedup-x is serial-vs-full-width wall clock of a reduced Fig20 grid; it is ~1.0 on a single-CPU machine (this recording) and gated >=2x by TestParallelRunnerSpeedup where >=2 CPUs exist.",
+  "note": "baseline is BENCH_PR2.json's current section (commit 5ba08ff), re-quoted frozen; those runs kept the test-binary invariant auditor live, which the harness now pauses for every root benchmark, so part of the Trace32K delta is harness parity. The full Figure 20 replay places ~2,700 nodes per job, so its time is bounded by per-node reservation mutations the cache cannot remove (cached SNS lands ~1.7x faster end to end, with the ~1 GB of per-query rescoring allocations gone); the CachedReplay32K/UncachedReplay32K pair is the regime the cache exists for — many small jobs on 32K nodes, where queries dominate mutations — and is what TestCachedReplaySpeedup gates at >=4x. avg-turn-s must be bit-identical between the cached and uncached rows. parallel-speedup-x is serial-vs-full-width wall clock of a reduced Fig20 grid; it is ~1.0 on a single-CPU machine (this recording) and gated >=2x by TestParallelRunnerSpeedup where >=4 CPUs exist.",
   "baseline": [
     {"name": "BenchmarkTrace32K/CE", "iterations": 1, "metrics": {"ns/op": 263604553, "avg-turn-s": 2278, "B/op": 237290752, "allocs/op": 77603}},
     {"name": "BenchmarkTrace32K/CS", "iterations": 1, "metrics": {"ns/op": 241898707, "avg-turn-s": 2521, "B/op": 237441600, "allocs/op": 91695}},
@@ -133,32 +128,6 @@ EOF
 EOF
 	} >BENCH_PR5.json
 	echo "wrote BENCH_PR5.json"
-fi
-
-if [[ "$which" == "all" || "$which" == "pr6" ]]; then
-	: >"$tmp"
-	go test -run '^$' -bench 'ShardedReplay256K|UnshardedReplay256K|ShardedReplay1M|UnshardedReplay1M' -benchmem -benchtime=1x . | tee -a "$tmp"
-	go test -run '^$' -bench 'ShardedKernel' -benchtime=1x . | tee -a "$tmp"
-
-	{
-		cat <<'EOF'
-{
-  "issue": "PR 6: sharded placement kernel \u2014 concurrent deterministic search over 256K-1M-node clusters",
-  "note": "baseline is the flat cached kernel on the same tree (the Unsharded rows, frozen from this recording), so the pairs isolate what sharding itself costs and buys. avg-turn-s must be bit-identical between each sharded/unsharded pair \u2014 that is the determinism contract, gated everywhere by TestShardedReplayMatchesFlat and the placement equivalence suite. shard-speedup-x is flat-vs-64-shard wall clock of the 256K gate replay at full pool width; on a single-CPU machine (this recording) it is ~0.8 \u2014 the fan-out's serial overhead with nothing to overlap it \u2014 and TestShardedReplaySpeedup gates >=3x where >=4 CPUs exist. The sharded rows allocate less than flat at 256K because each shard's score cache flushes and consolidates smaller arrays.",
-  "baseline": [
-    {"name": "BenchmarkUnshardedReplay256K", "iterations": 1, "metrics": {"ns/op": 313552945, "avg-turn-s": 1780, "B/op": 207312368, "allocs/op": 10120}},
-    {"name": "BenchmarkUnshardedReplay1M", "iterations": 1, "metrics": {"ns/op": 372403718, "avg-turn-s": 1780, "B/op": 416019952, "allocs/op": 10123}},
-    {"name": "BenchmarkShardedKernel", "iterations": 1, "metrics": {"shard-speedup-x": 1.0, "workers": 1}}
-  ],
-  "current": [
-EOF
-		emit_current
-		cat <<'EOF'
-  ]
-}
-EOF
-	} >BENCH_PR6.json
-	echo "wrote BENCH_PR6.json"
 fi
 
 if [[ "$which" == "all" || "$which" == "pr7" ]]; then
@@ -183,29 +152,4 @@ EOF2
 EOF2
 	} >BENCH_PR7.json
 	echo "wrote BENCH_PR7.json"
-fi
-
-if [[ "$which" == "all" || "$which" == "pr10" ]]; then
-	: >"$tmp"
-	go test -run '^$' -bench 'SerialMutationReplay256K|ParallelMutationReplay256K' -benchmem -benchtime=1x . | tee -a "$tmp"
-	go test -run '^$' -bench 'MutationPipeline' -benchtime=1x . | tee -a "$tmp"
-
-	{
-		cat <<'EOF3'
-{
-  "issue": "PR 10: deterministic parallel mutation pipeline — shard-parallel reserve/release + same-timestamp event coalescing",
-  "note": "baseline is the serial reserve/release loop on the same tree (the SerialMutationReplay256K row, frozen from this recording): both rows replay the wide-job 256K-node gate workload (500 jobs of <=16,384 nodes, 64-shard search) under SNS, so the pair isolates the mutation pipeline itself. avg-turn-s must be bit-identical between the serial and parallel rows — that is the determinism contract, gated everywhere by TestParallelMutationEquivalence and the placement span-equivalence suite. mut-speedup-x is serial-vs-full-width wall clock; on a single-CPU machine (this recording) it is ~1.0 — MutWorkers inherits GOMAXPROCS=1, which SetMutWorkers refuses, so both runs take the serial loops — and TestParallelMutationSpeedup gates >=2x where >=4 CPUs exist.",
-  "baseline": [
-    {"name": "BenchmarkSerialMutationReplay256K", "iterations": 1, "metrics": {"ns/op": 1217691873, "avg-turn-s": 1765, "B/op": 271728856, "allocs/op": 20377}},
-    {"name": "BenchmarkMutationPipeline", "iterations": 1, "metrics": {"mut-speedup-x": 1.0, "workers": 1}}
-  ],
-  "current": [
-EOF3
-		emit_current
-		cat <<'EOF3'
-  ]
-}
-EOF3
-	} >BENCH_PR10.json
-	echo "wrote BENCH_PR10.json"
 fi
