@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench-module check bench bench-pr5 bench-pr7 smoke figures
+.PHONY: build test vet lint race bench-module check fuzz-smoke bench bench-pr5 bench-pr7 smoke figures
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,14 @@ bench-module:
 # determinism linter, pass the full test suite under the race detector,
 # and leave the benchmark module building and passing.
 check: build vet lint race bench-module
+
+# fuzz-smoke runs the two snapshot fuzzers for real, 20 s each: plain
+# go test only replays their seed corpora, which cannot reach a document
+# no one has written down yet. One fuzz target per go test invocation is
+# the toolchain's rule. Not part of check (40 s of mutation on top).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzRestoreCorrupt -fuzztime 20s ./internal/svc
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 20s ./internal/svc
 
 # bench reruns every performance PR's benchmark set and rewrites the
 # BENCH_PR<n>.json files; bench-pr5 reruns only the score-cache /

@@ -50,23 +50,13 @@ func (r *Request) runnable(n int) bool {
 	return ScaleRunnable(r.Procs, n, r.MultiNode, r.PowerOf2)
 }
 
-// coresAt returns the per-node core counts over an n-node footprint.
-func (r *Request) coresAt(n int) []int {
-	if r.Procs > 0 {
-		return EvenSplit(r.Procs, n)
-	}
-	per := (r.CoresPerNode*r.BaseNodes + n - 1) / n
-	cores := make([]int, n)
-	for i := range cores {
-		cores[i] = per
-	}
-	return cores
-}
-
 // Plan is a policy's placement decision: which nodes, how many cores on
 // each, and the uniform way/bandwidth reservations to attach.
 type Plan struct {
 	Nodes []int
+	// Cores is aligned with Nodes and read-only: a footprint-based
+	// request's vector is a view of a table its Search owns and hands to
+	// every plan of that per-node count. Callers may retain it.
 	Cores []int
 	// Ways, BW, IOBW are the per-node SNS reservations (zero for the
 	// unmanaged-sharing policies).
@@ -113,7 +103,8 @@ func EvenSplit(procs, n int) []int {
 
 // Search runs the placement policies over one cluster backend. The
 // backend supplies capacity reads (View) and the synchronized free-core
-// index (Idx); the Search itself is stateless between calls.
+// index (Idx); between calls the Search keeps only reusable buffers and
+// constant tables, never cluster state.
 //
 // Determinism rules (the golden figure digests depend on them):
 //
@@ -159,6 +150,10 @@ type Search struct {
 		heap  []scoredNode
 		pairs []scoredNode
 	}
+
+	// runs maps a per-node core count to a run of that value, the
+	// backing store of every footprint plan's Cores (see repeated).
+	runs map[int][]int
 }
 
 // scoredNode pairs a candidate with its selection score.
@@ -216,7 +211,7 @@ func (s *Search) placeCE(req Request) *Plan {
 	if nodes == nil {
 		return nil
 	}
-	return &Plan{Nodes: nodes, Cores: req.coresAt(n), Exclusive: true, K: 1}
+	return &Plan{Nodes: nodes, Cores: s.coresAt(&req, n), Exclusive: true, K: 1}
 }
 
 // placeCS shares nodes by free cores, trying the lowest scale factor
@@ -232,7 +227,7 @@ func (s *Search) placeCS(req Request) *Plan {
 		if !req.runnable(n) {
 			continue
 		}
-		cores := req.coresAt(n)
+		cores := s.coresAt(&req, n)
 		mem := float64(cores[0]) * req.MemGBPerProc
 		nodes := s.ascendFree(cores[0], n, mem)
 		if nodes == nil {
@@ -297,7 +292,7 @@ func (s *Search) placeSNS(req Request) *Plan {
 			if idle == nil {
 				continue
 			}
-			return &Plan{Nodes: idle, Cores: req.coresAt(n), Exclusive: true, K: sp.K}
+			return &Plan{Nodes: idle, Cores: s.coresAt(&req, n), Exclusive: true, K: sp.K}
 		}
 		d := core.EstimateDemand(sp, req.Alpha, s.Spec)
 		var cores []int
@@ -306,7 +301,7 @@ func (s *Search) placeSNS(req Request) *Plan {
 			d.Cores = cores[0]
 			d.MemGB = float64(cores[0]) * req.MemGBPerProc
 		} else {
-			cores = uniform(d.Cores, n)
+			cores = s.repeated(d.Cores, n)
 		}
 		nodes := s.FindDemand(n, d)
 		if nodes == nil {
@@ -317,12 +312,33 @@ func (s *Search) placeSNS(req Request) *Plan {
 	return nil
 }
 
-func uniform(v, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = v
+// coresAt returns the per-node core counts of req over an n-node
+// footprint: a fresh EvenSplit for a process-based request, a shared
+// read-only run of the per-node slice width for a footprint-based one.
+func (s *Search) coresAt(req *Request, n int) []int {
+	if req.Procs > 0 {
+		return EvenSplit(req.Procs, n)
 	}
-	return out
+	return s.repeated((req.CoresPerNode*req.BaseNodes+n-1)/n, n)
+}
+
+// repeated returns n copies of v as a view of the Search's run of that
+// value, so a footprint plan — placed or abandoned mid-walk — costs no
+// core vector of its own. A run that is too short is replaced, never
+// extended in place: plans handed out earlier keep reading the old one.
+func (s *Search) repeated(v, n int) []int {
+	run := s.runs[v]
+	if len(run) < n {
+		run = make([]int, max(n, 2*len(run)))
+		for i := range run {
+			run[i] = v
+		}
+		if s.runs == nil {
+			s.runs = make(map[int][]int)
+		}
+		s.runs[v] = run
+	}
+	return run[:n:n]
 }
 
 // FindDemand searches for n nodes that can each host the demand. Per

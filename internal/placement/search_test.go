@@ -250,3 +250,51 @@ func TestPlaceTwoSlotPairsIntensiveWithNonIntensive(t *testing.T) {
 		t.Fatalf("non-intensive plan = %+v, want node 0's free half", pl)
 	}
 }
+
+// TestFootprintCoresAreSharedAndStable pins the constant table behind a
+// footprint plan's Cores: plans of one per-node count share a backing
+// run (no vector per Place), every plan is exactly as long as its node
+// list, and a plan handed out before a wider Place replaced the run
+// still reads its own values.
+func TestFootprintCoresAreSharedAndStable(t *testing.T) {
+	_, s := newTestSearch(64)
+	req := func(n int) Request { return Request{BaseNodes: n, CoresPerNode: 16, MultiNode: true} }
+	for _, p := range []Policy{CE, CS, SNS} {
+		r := req(4)
+		if p == SNS {
+			r.Alpha, r.Profile = 0.9, flatProfile(1)
+		}
+		first := s.Place(p, r)
+		again := s.Place(p, r)
+		if first == nil || again == nil {
+			t.Fatalf("%s: 4-node footprint not placed on an idle cluster", p)
+		}
+		if len(first.Cores) != len(first.Nodes) || cap(first.Cores) != len(first.Nodes) {
+			t.Fatalf("%s: len/cap(Cores) = %d/%d for %d nodes", p, len(first.Cores), cap(first.Cores), len(first.Nodes))
+		}
+		if &first.Cores[0] != &again.Cores[0] {
+			t.Errorf("%s: two plans of one per-node count got separate core vectors", p)
+		}
+		want := first.Cores[0]
+		wide := s.Place(p, Request{BaseNodes: 64, CoresPerNode: want, MultiNode: true, Alpha: r.Alpha, Profile: r.Profile})
+		if wide == nil || len(wide.Cores) != 64 {
+			t.Fatalf("%s: 64-node footprint plan = %+v", p, wide)
+		}
+		for i, v := range first.Cores {
+			if v != want {
+				t.Fatalf("%s: Cores[%d] = %d after a wider Place, was %d", p, i, v, want)
+			}
+		}
+		for i, v := range wide.Cores {
+			if v != want {
+				t.Fatalf("%s: wide Cores[%d] = %d, want %d", p, i, v, want)
+			}
+		}
+	}
+	// Process-based plans keep a vector of their own: sched retains it.
+	a := s.Place(CS, Request{Procs: 16, BaseNodes: 1, MultiNode: true})
+	b := s.Place(CS, Request{Procs: 16, BaseNodes: 1, MultiNode: true})
+	if a == nil || b == nil || &a.Cores[0] == &b.Cores[0] {
+		t.Errorf("process-based plans share a core vector: %+v %+v", a, b)
+	}
+}

@@ -516,15 +516,25 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSubmitBody bounds a submission's body: without it one client can
+// make the decoder buffer whatever it cares to send.
+const maxSubmitBody = 1 << 20
+
 // handleSubmit accepts a JobSpec, registers a pending op, and returns
 // 202 with the op's location. The job is admitted (and possibly placed)
 // when the scheduler goroutine drains the op into its next batched
 // round. Specs with a Name are idempotent: a retry of an already-applied
-// submission resolves to the existing job.
+// submission resolves to the existing job. A spec is a dozen scalars, so
+// the body is read up to maxSubmitBody and no further.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec svc.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: decoding job spec: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, fmt.Errorf("api: decoding job spec: %w", err))
 		return
 	}
 	op := s.ops.create("submit", r.Header.Get(requestIDHeader), -1, s.clock.now())

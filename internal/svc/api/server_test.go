@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,6 +174,20 @@ func TestSubmitFailures(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty body accepted with %d", resp.StatusCode)
+	}
+	// A body past the 1 MiB cap is refused as too large, valid JSON or
+	// not, and the daemon keeps serving.
+	huge := `{"name":"` + strings.Repeat("a", 2<<20) + `","program":"MG","base_nodes":2,"cores_per_node":16}`
+	resp, err = http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB body answered %d, want 413", resp.StatusCode)
+	}
+	if st, err := c.Stats(); err != nil || st.Submitted != 0 {
+		t.Errorf("after the refused body: stats %+v, %v; want a live daemon with nothing admitted", st, err)
 	}
 }
 

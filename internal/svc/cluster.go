@@ -265,41 +265,65 @@ func (c *Cluster) ScheduleRound(now float64, model RuntimeModel) []*Job {
 //
 //sns:transition Queued
 func (c *Cluster) launch(j *Job, pl *placement.Plan, now float64, model RuntimeModel) {
-	j.uniform = !pl.Exclusive
-	for i := 1; i < len(pl.Cores) && j.uniform; i++ {
-		j.uniform = pl.Cores[i] == pl.Cores[0]
+	j.res0 = placement.Reservation{
+		Ways:      pl.Ways,
+		BW:        pl.BW,
+		IOBW:      pl.IOBW,
+		Intensive: j.req.Intensive,
 	}
-	if j.uniform {
-		// Non-exclusive uniform reservations come back from Reserve
-		// unchanged, so one prototype stands in for every node's record
-		// and the whole mutation batches into one span call.
-		j.res0 = placement.Reservation{
-			Cores:     pl.Cores[0],
-			Ways:      pl.Ways,
-			BW:        pl.BW,
-			IOBW:      pl.IOBW,
-			Intensive: j.req.Intensive,
-		}
-		c.state.ReserveSpan(pl.Nodes, j.res0)
-	} else {
-		j.res = make([]placement.Reservation, len(pl.Nodes))
-		for i, id := range pl.Nodes {
-			j.res[i] = c.state.Reserve(id, placement.Reservation{
-				Cores:     pl.Cores[i],
-				Ways:      pl.Ways,
-				BW:        pl.BW,
-				IOBW:      pl.IOBW,
-				Exclusive: pl.Exclusive,
-				Intensive: j.req.Intensive,
-			})
-		}
-	}
+	j.res0.Cores, j.cores = c.planCores(pl)
+	j.uniform = j.cores == nil
+	j.Nodes = pl.Nodes
+	c.reserve(j)
 	j.StartSec = now
 	j.FinishSec = now + model(j, pl)
 	j.Scale = pl.K
 	j.NodesUsed = len(pl.Nodes)
-	j.Nodes = pl.Nodes
 	c.toRunning(j)
+}
+
+// planCores returns what a plan takes per node: one count when it is
+// the same on every node, else the per-node vector. An exclusive plan
+// takes each node's free cores as the index reports them now — the
+// value a per-node exclusive Reserve would resolve to — and those are
+// equal whenever the nodes came from Search.Idle, which only draws on
+// the fully-free bucket; so CE, like any even footprint, is one
+// prototype over a span. An uneven non-exclusive plan keeps pl.Cores
+// itself.
+func (c *Cluster) planCores(pl *placement.Plan) (int, []int) {
+	if !pl.Exclusive {
+		for _, n := range pl.Cores[1:] {
+			if n != pl.Cores[0] {
+				return 0, pl.Cores
+			}
+		}
+		return pl.Cores[0], nil
+	}
+	idx := c.state.Index()
+	first := idx.Free(pl.Nodes[0])
+	for _, id := range pl.Nodes[1:] {
+		if idx.Free(id) != first {
+			cores := make([]int, len(pl.Nodes))
+			for i, id := range pl.Nodes {
+				cores[i] = idx.Free(id)
+			}
+			return 0, cores
+		}
+	}
+	return first, nil
+}
+
+// reserve takes a placed job's resources from the cluster: one span
+// mutation (and one cache notification) for a uniform job, per node
+// otherwise.
+func (c *Cluster) reserve(j *Job) {
+	if j.uniform {
+		c.state.ReserveSpan(j.Nodes, j.res0)
+		return
+	}
+	for i, id := range j.Nodes {
+		c.state.Reserve(id, j.reservation(i))
+	}
 }
 
 // Complete releases a running job's resources and marks it Done. The
@@ -344,15 +368,17 @@ func (c *Cluster) Cancel(id int, now float64) error {
 	return nil
 }
 
-// release returns a job's effective reservations to the cluster.
+// release returns a job's reservations to the cluster and drops its
+// core vector: a Done or Cancelled job holds no per-node data.
 func (c *Cluster) release(j *Job) {
 	if j.uniform {
 		c.state.ReleaseSpan(j.Nodes, j.res0)
-	} else {
-		for i, id := range j.Nodes {
-			c.state.Release(id, j.res[i])
-		}
+		return
 	}
+	for i, id := range j.Nodes {
+		c.state.Release(id, j.reservation(i))
+	}
+	j.cores = nil
 }
 
 // toRunning, toDone, and toCancelled are the only writers of Job.State

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,12 @@ func corruptSnapshot(data []byte, mode, pos int, bit uint8) []byte {
 	if pos < 0 {
 		pos = -pos
 	}
+	if mode < 0 {
+		// Rewrite one value of one job's prototype reservation. It sits
+		// outside the switch so modes 0-3 keep their numbers: the
+		// committed corpus replays by mode value.
+		return rewriteReservation(data, -(mode + 1), pos, bit)
+	}
 	switch mode % 4 {
 	case 0: // truncate mid-stream
 		return data[:pos%len(data)]
@@ -62,30 +69,66 @@ func corruptSnapshot(data []byte, mode, pos int, bit uint8) []byte {
 		}
 		return out
 	default: // drop one field from one job record
-		var m map[string]json.RawMessage
-		if json.Unmarshal(data, &m) != nil {
-			return data
-		}
-		var jobs []map[string]json.RawMessage
-		if json.Unmarshal(m["jobs"], &jobs) != nil || len(jobs) == 0 {
-			return data
-		}
-		rec := jobs[pos%len(jobs)]
-		if len(rec) == 0 {
-			return data
-		}
-		delete(rec, sortedKeys(rec)[int(bit)%len(rec)])
-		enc, err := json.Marshal(jobs)
-		if err != nil {
-			return data
-		}
-		m["jobs"] = enc
-		out, err := json.Marshal(m)
-		if err != nil {
-			return data
-		}
-		return out
+		return editJobRecord(data, pos, func(rec map[string]json.RawMessage) bool {
+			if len(rec) == 0 {
+				return false
+			}
+			delete(rec, sortedKeys(rec)[int(bit)%len(rec)])
+			return true
+		})
 	}
+}
+
+// editJobRecord applies edit to job record pos (modulo the job count)
+// and re-encodes the document; data comes back untouched when it does
+// not parse that far or edit declines.
+func editJobRecord(data []byte, pos int, edit func(rec map[string]json.RawMessage) bool) []byte {
+	var m map[string]json.RawMessage
+	if json.Unmarshal(data, &m) != nil {
+		return data
+	}
+	var jobs []map[string]json.RawMessage
+	if json.Unmarshal(m["jobs"], &jobs) != nil || len(jobs) == 0 {
+		return data
+	}
+	if !edit(jobs[pos%len(jobs)]) {
+		return data
+	}
+	enc, err := json.Marshal(jobs)
+	if err != nil {
+		return data
+	}
+	m["jobs"] = enc
+	out, err := json.Marshal(m)
+	if err != nil {
+		return data
+	}
+	return out
+}
+
+// rewriteReservation sets one field of job pos's "res0" — the values
+// Restore hands to the kernel, which panics on a core count it cannot
+// index. Booleans flip; numbers become v%256-64, so the fuzzer reaches
+// negative, in-range and oversize values alike.
+func rewriteReservation(data []byte, v, pos int, bit uint8) []byte {
+	return editJobRecord(data, pos, func(rec map[string]json.RawMessage) bool {
+		var res0 map[string]json.RawMessage
+		if json.Unmarshal(rec["res0"], &res0) != nil || len(res0) == 0 {
+			return false
+		}
+		key := sortedKeys(res0)[int(bit)%len(res0)]
+		switch string(res0[key]) {
+		case "true":
+			res0[key] = json.RawMessage("false")
+		case "false":
+			res0[key] = json.RawMessage("true")
+		default:
+			res0[key] = json.RawMessage(strconv.Itoa(v%256 - 64))
+		}
+		enc, err := json.Marshal(res0)
+		rec["res0"] = enc
+		return err == nil
+	})
 }
 
 func sortedKeys(m map[string]json.RawMessage) []string {
@@ -98,7 +141,8 @@ func sortedKeys(m map[string]json.RawMessage) []string {
 }
 
 // FuzzRestoreCorrupt feeds Restore structurally corrupted snapshots —
-// truncations, single bit flips, and dropped JSON fields — and holds it
+// truncations, single bit flips, dropped JSON fields, and rewritten
+// reservation values — and holds it
 // to its error contract: no panic ever, a descriptive "svc:"-prefixed
 // error with a nil core on rejection, and on acceptance a core coherent
 // enough to dump and re-snapshot. The committed corpus pins regressions
@@ -107,13 +151,15 @@ func sortedKeys(m map[string]json.RawMessage) []string {
 // bounds instead of being rejected (the range check in Restore is the
 // fix).
 func FuzzRestoreCorrupt(f *testing.F) {
-	f.Add(0, 0, uint8(0))   // empty truncation
-	f.Add(0, 200, uint8(0)) // mid-object truncation
-	f.Add(1, 12, uint8(1))  // bit flip near the version field
-	f.Add(2, 0, uint8(0))   // drop a top-level field
-	f.Add(3, 0, uint8(4))   // drop a field from the first job record
-	f.Add(1, 150, uint8(0)) // bit flip inside a job record
-	f.Add(3, 2, uint8(9))   // drop a field from a later record
+	f.Add(0, 0, uint8(0))    // empty truncation
+	f.Add(0, 200, uint8(0))  // mid-object truncation
+	f.Add(1, 12, uint8(1))   // bit flip near the version field
+	f.Add(2, 0, uint8(0))    // drop a top-level field
+	f.Add(3, 0, uint8(4))    // drop a field from the first job record
+	f.Add(1, 150, uint8(0))  // bit flip inside a job record
+	f.Add(3, 2, uint8(9))    // drop a field from a later record
+	f.Add(-157, 2, uint8(1)) // a running job's res0 reserves 92 cores a node
+	f.Add(-1, 2, uint8(2))   // ... and is exclusive
 	f.Fuzz(func(t *testing.T, mode, pos int, bit uint8) {
 		db, _, err := fuzzProfiles()
 		if err != nil {

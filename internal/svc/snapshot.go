@@ -36,7 +36,13 @@ type snapshot struct {
 	Capacity *placement.Capacity `json:"capacity,omitempty"`
 }
 
-// jobRecord mirrors Job plus its unexported release bookkeeping.
+// jobRecord mirrors Job plus its unexported release bookkeeping. Res is
+// written for running jobs whose per-node core counts differ, one entry
+// per node with only Cores varying; every other running job is Uniform
+// and carries Res0 alone, and a finished job carries no reservations it
+// could still return. Documents from before launch resolved exclusive
+// takes wrote Res for every CE job, "Exclusive":true with the resolved
+// Cores; Restore reads both.
 type jobRecord struct {
 	ID        int      `json:"id"`
 	Spec      JobSpec  `json:"spec"`
@@ -72,7 +78,7 @@ func (c *Cluster) Snapshot(w io.Writer) error {
 		Jobs:    make([]jobRecord, 0, len(c.jobs)),
 	}
 	for _, j := range c.jobs {
-		s.Jobs = append(s.Jobs, jobRecord{
+		rec := jobRecord{
 			ID:        j.ID,
 			Spec:      j.Spec,
 			State:     j.State,
@@ -84,8 +90,14 @@ func (c *Cluster) Snapshot(w io.Writer) error {
 			Nodes:     j.Nodes,
 			Uniform:   j.uniform,
 			Res0:      j.res0,
-			Res:       j.res,
-		})
+		}
+		if j.cores != nil {
+			rec.Res = make([]placement.Reservation, len(j.cores))
+			for i := range rec.Res {
+				rec.Res[i] = j.reservation(i)
+			}
+		}
+		s.Jobs = append(s.Jobs, rec)
 	}
 	capState := c.state.ExportCapacity()
 	s.Capacity = &capState
@@ -155,7 +167,6 @@ func Restore(r io.Reader, db *profiler.DB) (*Cluster, error) {
 			Nodes:     rec.Nodes,
 			uniform:   rec.Uniform,
 			res0:      rec.Res0,
-			res:       rec.Res,
 		}
 		j.req = c.buildReq(&j.Spec)
 		c.jobs = append(c.jobs, j)
@@ -166,28 +177,8 @@ func Restore(r io.Reader, db *profiler.DB) (*Cluster, error) {
 		if j.State != Running {
 			continue
 		}
-		// Re-apply the effective reservations. Exclusive takes were
-		// already resolved to concrete core counts when first reserved,
-		// so the replayed form must not re-resolve against the (still
-		// idle) restored nodes.
-		for _, id := range j.Nodes {
-			if id < 0 || id >= c.cfg.Nodes {
-				return nil, fmt.Errorf("svc: snapshot job %d placed on node %d of a %d-node cluster",
-					j.ID, id, c.cfg.Nodes)
-			}
-		}
-		if j.uniform {
-			c.state.ReserveSpan(j.Nodes, j.res0)
-		} else {
-			if len(j.res) != len(j.Nodes) {
-				return nil, fmt.Errorf("svc: snapshot job %d has %d reservations for %d nodes",
-					j.ID, len(j.res), len(j.Nodes))
-			}
-			for i, id := range j.Nodes {
-				eff := j.res[i]
-				eff.Exclusive = false
-				c.state.Reserve(id, eff)
-			}
+		if err := c.reapply(j, rec); err != nil {
+			return nil, err
 		}
 	}
 	// Overwrite the float capacity arrays with the snapshotted values:
@@ -210,4 +201,50 @@ func Restore(r io.Reader, db *profiler.DB) (*Cluster, error) {
 		return nil, fmt.Errorf("svc: snapshot queues %d jobs but %d are in state queued", q, c.counts[Queued])
 	}
 	return c, nil
+}
+
+// reapply takes a restored running job's reservations from the rebuilt
+// state. The document comes from outside the program, so every value is
+// held to what launch could have written before the state sees it — the
+// kernel panics on a core count it cannot index, and Restore's contract
+// is an error. Each node is checked against the cores still free when
+// its turn comes, which also covers a node listed twice.
+func (c *Cluster) reapply(j *Job, rec *jobRecord) error {
+	if res := rec.Res; !j.uniform {
+		if len(res) != len(j.Nodes) || len(res) == 0 {
+			return fmt.Errorf("svc: snapshot job %d has %d reservations for %d nodes", j.ID, len(res), len(j.Nodes))
+		}
+		// Per-node records differ in Cores only. Exclusive is dropped: a
+		// record that carries it also carries the cores the take resolved
+		// to, and re-resolving against the restored nodes would be wrong.
+		j.res0 = res[0]
+		j.res0.Cores, j.res0.Exclusive = 0, false
+		j.cores = make([]int, len(res))
+		for i, r := range res {
+			j.cores[i] = r.Cores
+			r.Cores, r.Exclusive = 0, false
+			if r != j.res0 {
+				return fmt.Errorf("svc: snapshot job %d reservation %d differs from the job's first in more than cores", j.ID, i)
+			}
+		}
+	}
+	p := j.res0
+	if p.Exclusive {
+		return fmt.Errorf("svc: snapshot job %d has an exclusive prototype reservation", j.ID)
+	}
+	if p.Ways < 0 || p.BW < 0 || p.MemGB < 0 || p.IOBW < 0 {
+		return fmt.Errorf("svc: snapshot job %d reserves negative ways, bandwidth or memory", j.ID)
+	}
+	idx := c.state.Index()
+	for i, id := range j.Nodes {
+		if id < 0 || id >= c.cfg.Nodes {
+			return fmt.Errorf("svc: snapshot job %d placed on node %d of a %d-node cluster", j.ID, id, c.cfg.Nodes)
+		}
+		r := j.reservation(i)
+		if r.Cores < 0 || r.Cores > idx.Free(id) {
+			return fmt.Errorf("svc: snapshot job %d reserves %d cores on node %d, which has %d free", j.ID, r.Cores, id, idx.Free(id))
+		}
+		c.state.Reserve(id, r)
+	}
+	return nil
 }

@@ -159,15 +159,29 @@ type Job struct {
 	//
 	//sns:derived buildReq
 	req placement.Request
-	// res/res0/uniform hold the effective reservations to return on
-	// completion. The common footprint plan reserves the same amount on
-	// every node, recorded once in res0 (a 32K-node replay reserves
-	// ~19M node-slots; per-node records for each were the replay's
-	// dominant allocation); exclusive and TwoSlot plans resolve per
-	// node into res.
-	res     []placement.Reservation
+	// res0/uniform/cores are what a placed job returns on release: one
+	// prototype reservation for every node, never exclusive — launch
+	// resolves an exclusive take to the cores it found free. uniform
+	// says res0.Cores holds on every node (the common footprint shape,
+	// CE's dedicated nodes included), and the job mutates state through
+	// one span call. Otherwise cores is the per-node count aligned with
+	// Nodes — the plan's own vector, not a copy (TwoSlot's "full, full,
+	// ..., remainder"). release drops cores, so a finished job keeps no
+	// per-node data beyond its node list; a 32K-node replay takes ~19M
+	// node-slots, and a 48-byte record for each was its dominant
+	// allocation and all of its resident growth.
 	res0    placement.Reservation
 	uniform bool
+	cores   []int
+}
+
+// reservation rebuilds node i's share from the prototype.
+func (j *Job) reservation(i int) placement.Reservation {
+	r := j.res0
+	if !j.uniform {
+		r.Cores = j.cores[i]
+	}
+	return r
 }
 
 // Wait returns submit-to-start (only meaningful once placed).

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"slices"
 	"strings"
@@ -277,8 +278,12 @@ func TestBatchedAdmissionEquivalence(t *testing.T) {
 }
 
 // TestSnapshotRestore round-trips a mid-flight core — running jobs,
-// queued jobs, finished and cancelled ones — and checks the restored
-// core carries bit-identical state and schedules identically afterwards.
+// queued jobs, finished and cancelled ones — under every policy, and
+// checks the restored core carries bit-identical state and schedules
+// identically afterwards. The policies differ in what a running job
+// holds: CE an exclusive take resolved at launch, CS and SNS an even
+// footprint, TwoSlot a per-node core vector that only the snapshot's
+// per-node records carry.
 // The second document is what a daemon started with the retired
 // -shards/-mutworkers flags wrote: Config is serialised whole, so its
 // snapshots carry two keys this build no longer has. Placements were
@@ -286,26 +291,64 @@ func TestBatchedAdmissionEquivalence(t *testing.T) {
 // correct; the case pins that Restore keeps tolerating unknown config
 // keys (no DisallowUnknownFields without a snapshotVersion bump).
 func TestSnapshotRestore(t *testing.T) {
-	c, db, _ := testCore(t, placement.SNS, 16)
-	model := PolicyRuntime(placement.SNS, c.Config().Node)
+	for _, policy := range []placement.Policy{placement.CE, placement.CS, placement.SNS, placement.TwoSlot} {
+		t.Run(policy.String(), func(t *testing.T) { testSnapshotRestore(t, policy) })
+	}
+}
 
+func testSnapshotRestore(t *testing.T, policy placement.Policy) {
+	c, db, node := testCore(t, policy, 16)
+	model := PolicyRuntime(policy, node)
+
+	doneJob, _ := c.Submit(spec(db, "EP", 2, 10), 0)
+	c.ScheduleRound(0, model)
+	c.Complete(doneJob.ID, doneJob.FinishSec)
 	named := spec(db, "MG", 4, 100)
 	named.Name = "mg-1"
-	c.Submit(named, 0)
-	c.Submit(spec(db, "BW", 8, 200), 0)
-	c.Submit(spec(db, "HC", 16, 300), 0) // whole cluster: stays queued
-	c.ScheduleRound(0, model)
-	doneJob, _ := c.Submit(spec(db, "EP", 1, 10), 1)
-	c.ScheduleRound(1, model)
-	c.Complete(doneJob.ID, doneJob.FinishSec)
-	cancelled, _ := c.Submit(spec(db, "EP", 16, 10), 2)
-	c.Cancel(cancelled.ID, 3)
+	named.Intensive = true
+	c.Submit(named, 20)
+	c.Submit(spec(db, "BW", 8, 200), 20)
+	// Two whole-cluster jobs: sharing (SNS) fits the first beside the
+	// others, nothing fits the second while they run.
+	c.Submit(spec(db, "HC", 16, 300), 20)
+	c.Submit(spec(db, "HC", 16, 300), 20)
+	c.ScheduleRound(20, model)
+	cancelled, _ := c.Submit(spec(db, "EP", 16, 10), 21)
+	c.Cancel(cancelled.ID, 22)
+	if got := c.Stats(); got.Running < 2 || got.Queued < 1 || got.Done != 1 || got.Cancelled != 1 {
+		t.Fatalf("setup: stats = %+v, want jobs running, queued, done and cancelled", got)
+	}
+	uneven := 0
+	c.Each(func(j *Job) {
+		if j.cores != nil {
+			uneven++
+		}
+		if j.State != Running && j.cores != nil {
+			t.Fatalf("job %d is %s and still holds a core vector", j.ID, j.State)
+		}
+	})
+	if wantUneven := policy == placement.TwoSlot; (uneven > 0) != wantUneven {
+		t.Fatalf("setup: %d running jobs hold a core vector, want some = %v", uneven, wantUneven)
+	}
 
 	var buf bytes.Buffer
 	if err := c.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	fresh := buf.String()
+	// A job serialises per-node reservations exactly while it holds a
+	// core vector: never once finished, never for an even footprint.
+	var wire snapshot
+	if err := json.Unmarshal(buf.Bytes(), &wire); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range wire.Jobs {
+		j, _ := c.Job(rec.ID)
+		if len(rec.Res) != len(j.cores) {
+			t.Fatalf("job %d (%s) serialised %d per-node reservations for a %d-entry core vector",
+				rec.ID, rec.State, len(rec.Res), len(j.cores))
+		}
+	}
 	docs := []struct{ name, doc string }{
 		{"fresh", fresh},
 		{"retired kernel knobs", strings.Replace(fresh, `"config":{`, `"config":{"Shards":64,"MutWorkers":8,`, 1)},
@@ -322,21 +365,17 @@ func TestSnapshotRestore(t *testing.T) {
 		defer r.Close()
 		restored[i] = r
 
-		if got, want := r.Stats(), c.Stats(); got != want {
-			t.Fatalf("%s: restored stats = %+v, want %+v", d.name, got, want)
+		if got, want := dumpCore(r), dumpCore(c); got != want {
+			t.Fatalf("%s: restored core differs:\n-- live --\n%s\n-- restored --\n%s", d.name, want, got)
 		}
 		c.Each(func(orig *Job) {
-			got, ok := r.Job(orig.ID)
-			if !ok {
-				t.Fatalf("%s: job %d lost in restore", d.name, orig.ID)
-			}
-			if got.State != orig.State || got.SubmitSec != orig.SubmitSec || //lint:floateq round-trip must be exact
-				got.StartSec != orig.StartSec || got.FinishSec != orig.FinishSec || //lint:floateq round-trip must be exact
-				got.Scale != orig.Scale || got.NodesUsed != orig.NodesUsed {
-				t.Fatalf("%s: job %d restored as %+v, want %+v", d.name, orig.ID, got, orig)
-			}
+			got, _ := r.Job(orig.ID)
 			if got.Spec.Profile == nil && orig.Spec.Profile != nil {
 				t.Fatalf("%s: job %d profile not re-resolved", d.name, orig.ID)
+			}
+			if orig.State == Running && (got.uniform != orig.uniform || got.res0 != orig.res0 || !slices.Equal(got.cores, orig.cores)) { //lint:floateq round-trip must be exact
+				t.Fatalf("%s: job %d holds %+v %v after restore, want %+v %v",
+					d.name, orig.ID, got.res0, got.cores, orig.res0, orig.cores)
 			}
 		})
 		if _, ok := r.JobByName("mg-1"); !ok {
@@ -344,26 +383,77 @@ func TestSnapshotRestore(t *testing.T) {
 		}
 	}
 
-	// Every core now releases the running jobs and runs a round: the
-	// queued whole-cluster job must place identically.
-	finish := func(core *Cluster) *Job {
+	// Every core now releases the running jobs and runs a round: a
+	// queued whole-cluster job must place, identically.
+	finish := func(core *Cluster) {
 		core.Each(func(j *Job) {
 			if j.State == Running {
 				core.Complete(j.ID, 400)
 			}
 		})
-		placed := core.ScheduleRound(400, model)
-		if len(placed) != 1 {
+		if free := core.state.Index().Count(node.Cores.Int()); free != 16 {
+			t.Fatalf("%d of 16 nodes idle after every job finished", free)
+		}
+		if placed := core.ScheduleRound(400, model); len(placed) != 1 {
 			t.Fatalf("post-restore round placed %d jobs", len(placed))
 		}
-		return placed[0]
 	}
-	a := finish(c)
+	finish(c)
 	for i, r := range restored {
-		b := finish(r)
-		if a.ID != b.ID || a.FinishSec != b.FinishSec || !slices.Equal(a.Nodes, b.Nodes) { //lint:floateq bit-identity is the contract under test
-			t.Fatalf("%s: post-restore rounds diverge: %+v vs %+v", docs[i].name, a, b)
+		finish(r)
+		if got, want := dumpCore(r), dumpCore(c); got != want {
+			t.Fatalf("%s: post-restore rounds diverge:\n-- live --\n%s\n-- restored --\n%s", docs[i].name, want, got)
 		}
+	}
+}
+
+// legacyExclusiveSnapshot is a document written before launch resolved
+// exclusive takes (commit 1844581): an 8-node CE core with two running
+// jobs, one queued and one done, every placed job — the done one too —
+// carrying a per-node "res" whose entries are exclusive with the cores
+// the take resolved to.
+const legacyExclusiveSnapshot = `{"version":1,"config":{"Node":{"Cores":28,"FreqGHz":2.4,"LLCWays":20,"LLCSizeMB":70,"PeakBandwidth":118.26,"SingleCoreBandwidth":18.8,"NICBandwidth":6.8,"IOBandwidth":2,"NICLatencyUS":1.5,"MemoryGB":128,"MaxCLOS":16,"MinWaysPerJob":2,"HasMBA":false,"MBAGranularityPct":10},"Nodes":8,"Policy":0,"MaxScale":8,"ScanDepth":32,"AgingPeriodSec":1,"NoScoreCache":false,"AuditLabel":""},"jobs":[{"id":0,"spec":{"program":"MG","base_nodes":2,"cores_per_node":16,"runtime_sec":100,"alpha":0.9,"multi_node":true},"state":1,"submit_sec":0,"start_sec":0,"finish_sec":100,"scale":1,"nodes_used":2,"nodes":[0,1],"res0":{"Cores":0,"Ways":0,"BW":0,"MemGB":0,"IOBW":0,"Exclusive":false,"Intensive":false},"res":[{"Cores":28,"Ways":0,"BW":0,"MemGB":0,"IOBW":0,"Exclusive":true,"Intensive":false},{"Cores":28,"Ways":0,"BW":0,"MemGB":0,"IOBW":0,"Exclusive":true,"Intensive":false}]},{"id":1,"spec":{"program":"BW","base_nodes":3,"cores_per_node":16,"runtime_sec":200,"alpha":0.9,"multi_node":true},"state":1,"submit_sec":0,"start_sec":0,"finish_sec":200,"scale":1,"nodes_used":3,"nodes":[2,3,4],"res0":{"Cores":0,"Ways":0,"BW":0,"MemGB":0,"IOBW":0,"Exclusive":false,"Intensive":false},"res":[{"Cores":28,"Ways":0,"BW":0,"MemGB":0,"IOBW":0,"Exclusive":true,"Intensive":false},{"Cores":28,"Ways":0,"BW":0,"MemGB":0,"IOBW":0,"Exclusive":true,"Intensive":false},{"Cores":28,"Ways":0,"BW":0,"MemGB":0,"IOBW":0,"Exclusive":true,"Intensive":false}]},{"id":2,"spec":{"program":"HC","base_nodes":8,"cores_per_node":16,"runtime_sec":300,"alpha":0.9,"multi_node":true},"state":0,"submit_sec":0,"start_sec":0,"finish_sec":0,"res0":{"Cores":0,"Ways":0,"BW":0,"MemGB":0,"IOBW":0,"Exclusive":false,"Intensive":false}},{"id":3,"spec":{"program":"EP","base_nodes":1,"cores_per_node":16,"runtime_sec":10,"alpha":0.9,"multi_node":true},"state":2,"submit_sec":1,"start_sec":1,"finish_sec":11,"scale":1,"nodes_used":1,"nodes":[5],"res0":{"Cores":0,"Ways":0,"BW":0,"MemGB":0,"IOBW":0,"Exclusive":false,"Intensive":false},"res":[{"Cores":28,"Ways":0,"BW":0,"MemGB":0,"IOBW":0,"Exclusive":true,"Intensive":false}]}],"queue":[{"id":2,"submit":0,"order":2}],"capacity":{"free_bw":[118.26,118.26,118.26,118.26,118.26,118.26,118.26,118.26],"free_mem":[128,128,128,128,128,128,128,128],"free_io":[2,2,2,2,2,2,2,2]}}`
+
+// TestSnapshotRestoreLegacyExclusive holds Restore to the documents the
+// previous build wrote: the legacy core comes back in the state of a
+// live core driven through the same history, and schedules like it.
+func TestSnapshotRestoreLegacyExclusive(t *testing.T) {
+	live, db, node := testCore(t, placement.CE, 8)
+	model := PolicyRuntime(placement.CE, node)
+	live.Submit(spec(db, "MG", 2, 100), 0)
+	live.Submit(spec(db, "BW", 3, 200), 0)
+	live.Submit(spec(db, "HC", 8, 300), 0)
+	live.ScheduleRound(0, model)
+	d, _ := live.Submit(spec(db, "EP", 1, 10), 1)
+	live.ScheduleRound(1, model)
+	live.Complete(d.ID, d.FinishSec)
+
+	old, err := Restore(strings.NewReader(legacyExclusiveSnapshot), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if a, b := dumpCore(live), dumpCore(old); a != b {
+		t.Fatalf("legacy restore differs from the live core:\n-- live --\n%s\n-- restored --\n%s", a, b)
+	}
+	for _, c := range []*Cluster{live, old} {
+		c.Complete(0, 100)
+		c.Complete(1, 200)
+		if placed := c.ScheduleRound(200, model); len(placed) != 1 || placed[0].ID != 2 {
+			t.Fatalf("whole-cluster job not placed after both running jobs finished: %v", placed)
+		}
+	}
+	if a, b := dumpCore(live), dumpCore(old); a != b {
+		t.Fatalf("legacy core schedules differently:\n-- live --\n%s\n-- restored --\n%s", a, b)
+	}
+	// What it writes now is the current shape: no exclusive flag, and
+	// per-node records only where a running job needs them.
+	var buf bytes.Buffer
+	if err := old.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `"Exclusive":true`) || strings.Contains(buf.String(), `"res":`) {
+		t.Fatalf("re-snapshot of a legacy core still carries resolved exclusive records: %s", buf.String())
 	}
 }
 
@@ -402,21 +492,25 @@ func TestSnapshotRestoreRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestUniformReservationBatching pins the res0 optimization: a
-// non-exclusive uniform placement stores one prototype reservation, not
-// a per-node slice.
+// TestUniformReservationBatching pins the record-free reservation: an
+// even footprint — CE's dedicated nodes included, resolved at launch to
+// the cores found free — holds one prototype and no per-node vector.
 func TestUniformReservationBatching(t *testing.T) {
-	c, db, _ := testCore(t, placement.SNS, 16)
-	model := PolicyRuntime(placement.SNS, c.Config().Node)
-	j, _ := c.Submit(spec(db, "MG", 4, 100), 0)
-	c.ScheduleRound(0, model)
-	if j.State != Running {
-		t.Fatal("setup: job not placed")
-	}
-	if !j.uniform || j.res != nil {
-		t.Fatalf("SNS footprint stored per-node reservations: uniform=%v res=%v", j.uniform, j.res)
-	}
-	if j.res0.Cores == 0 {
-		t.Fatal("prototype reservation empty")
+	for _, policy := range []placement.Policy{placement.CE, placement.CS, placement.SNS} {
+		c, db, node := testCore(t, policy, 16)
+		j, _ := c.Submit(spec(db, "MG", 4, 100), 0)
+		c.ScheduleRound(0, PolicyRuntime(policy, node))
+		if j.State != Running {
+			t.Fatalf("%s setup: job not placed", policy)
+		}
+		if !j.uniform || j.cores != nil {
+			t.Fatalf("%s footprint kept a per-node vector: uniform=%v cores=%v", policy, j.uniform, j.cores)
+		}
+		if j.res0.Cores == 0 || j.res0.Exclusive {
+			t.Fatalf("%s prototype = %+v, want resolved non-exclusive cores", policy, j.res0)
+		}
+		if policy == placement.CE && j.res0.Cores != node.Cores.Int() {
+			t.Fatalf("CE prototype takes %d cores of %d", j.res0.Cores, node.Cores.Int())
+		}
 	}
 }
