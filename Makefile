@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench-module check fuzz-smoke bench bench-pr5 bench-pr7 smoke figures
+.PHONY: build test vet lint race bench-module check fuzz-smoke smoke figures
 
 build:
 	$(GO) build ./...
@@ -40,19 +40,6 @@ check: build vet lint race bench-module
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreCorrupt -fuzztime 20s ./internal/svc
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 20s ./internal/svc
-
-# bench reruns every performance PR's benchmark set and rewrites the
-# BENCH_PR<n>.json files; bench-pr5 reruns only the score-cache /
-# parallel-runner set, bench-pr7 only the service admission /
-# daemon-latency set.
-bench:
-	scripts/bench.sh
-
-bench-pr5:
-	scripts/bench.sh pr5
-
-bench-pr7:
-	scripts/bench.sh pr7
 
 # smoke runs the end-to-end scheduler-as-a-service test: daemon up, load
 # through the REST API, SIGTERM with snapshot, restore, dedup replay.

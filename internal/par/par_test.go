@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversEveryIndex(t *testing.T) {
@@ -96,5 +97,31 @@ func TestForEachMergeOrderIndependence(t *testing.T) {
 	serial, parallel := run(1), run(8)
 	if serial != parallel {
 		t.Fatalf("merged output differs between serial and parallel runs")
+	}
+}
+
+// TestForEachFansOut is the parallel runner's fan-out gate, with no
+// clock and no CPU count in it: at SetWorkers(4) four cells rendezvous —
+// none may return until all four are in flight — so ForEach completes
+// only if it really runs four cells at once. The passing path waits on
+// the rendezvous alone; the timeout exists solely to turn the hang a
+// narrower pool would cause into a failure.
+func TestForEachFansOut(t *testing.T) {
+	defer SetWorkers(SetWorkers(4))
+	var inFlight atomic.Int64
+	all := make(chan struct{})
+	err := ForEach(4, func(i int) error {
+		if inFlight.Add(1) == 4 {
+			close(all)
+		}
+		select {
+		case <-all:
+			return nil
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("cell %d: %d of 4 cells in flight", i, inFlight.Load())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -242,6 +242,36 @@ func TestCachedSearchEquivalence(t *testing.T) {
 	}
 }
 
+// TestCachedSearchScoreEvaluations is the cache's work gate, on the
+// regime the cache exists for: small jobs on a large cluster, a
+// placement attempt after every mutation. Over one fixed-seed churn of a
+// 1,024-node harness — the fuzz decode's spans and single nodes reserved
+// and released, plus one SNS-shaped query of up to 32 nodes per step,
+// every query checked for the identical node list — the cached search
+// must evaluate at most a quarter of the scores the from-scratch search
+// does. The cached side pays for populating the cache (every node scored
+// once) and for each dirty node once per flush; the from-scratch side
+// rescores every candidate of the bucket it settles on. Counting is
+// deterministic, so the gate reads the same on any machine, and it trips
+// the moment a flush rescores more than the dirty set.
+func TestCachedSearchScoreEvaluations(t *testing.T) {
+	h := newCacheHarness(1024, false)
+	cached, plain := &countingView{NodeView: h.cs.View}, &countingView{NodeView: h.ps.View}
+	h.cs.View, h.ps.View = cached, plain
+	ops := make([]byte, 1000)
+	rand.New(rand.NewSource(1)).Read(ops)
+	for i, op := range ops {
+		h.step(t, i, op)
+		h.query(t, 1+i%32, core.Demand{Cores: 16, Ways: 4, BW: 30})
+	}
+	t.Logf("cached %d score evaluations, from scratch %d (%.1fx)",
+		cached.scores, plain.scores, float64(plain.scores)/float64(cached.scores))
+	if 4*cached.scores > plain.scores {
+		t.Errorf("cached search evaluated %d scores, more than a quarter of the from-scratch search's %d",
+			cached.scores, plain.scores)
+	}
+}
+
 // FuzzCachedSearch lets the fuzzer hunt for mutation schedules that
 // break cached/from-scratch agreement or the cache audit.
 func FuzzCachedSearch(f *testing.F) {

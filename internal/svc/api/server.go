@@ -11,11 +11,11 @@
 package api
 
 import (
+	"bytes"
 	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -177,7 +177,7 @@ func Load(cfg Config, db *profiler.DB) (*Server, error) {
 	if snap.Version != daemonSnapshotVersion {
 		return nil, fmt.Errorf("api: snapshot version %d, this build reads %d", snap.Version, daemonSnapshotVersion)
 	}
-	core, err := svc.Restore(bytesReader(snap.Core), db)
+	core, err := svc.Restore(bytes.NewReader(snap.Core), db)
 	if err != nil {
 		return nil, err
 	}
@@ -192,24 +192,6 @@ func Load(cfg Config, db *profiler.DB) (*Server, error) {
 		s.clock.base = snap.NowSec
 	}
 	return s, nil
-}
-
-func bytesReader(raw json.RawMessage) io.Reader {
-	return &byteReader{b: raw}
-}
-
-type byteReader struct {
-	b   []byte
-	off int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.off:])
-	r.off += n
-	return n, nil
 }
 
 // Start launches the scheduler goroutine. Serve the server (it is an
@@ -275,11 +257,7 @@ func (s *Server) run() {
 		var timerC <-chan time.Time
 		var timer *time.Timer
 		if len(s.fin) > 0 {
-			delay := (s.fin[0].finish - s.clock.now()) / s.cfg.Timescale
-			if delay < 0 {
-				delay = 0
-			}
-			timer = time.NewTimer(time.Duration(delay * float64(time.Second)))
+			timer = time.NewTimer(timerDelay(s.fin[0].finish-s.clock.now(), s.cfg.Timescale))
 			timerC = timer.C
 		}
 		select {
@@ -314,6 +292,29 @@ func (s *Server) run() {
 			timer.Stop()
 		}
 	}
+}
+
+// maxTimerDelay is the longest run sleeps on one arming of its completion
+// timer. The loop re-arms after every wake, so a completion further off
+// costs one idle round per ceiling, and the ceiling keeps the conversion
+// below inside time.Duration's range.
+const maxTimerDelay = time.Hour
+
+// timerDelay converts the virtual seconds until the next completion into
+// the wall time run sleeps for it: never negative (a completion already
+// due fires at once) and never above maxTimerDelay, whatever runtime a
+// client supplied and however slow the virtual clock — an unclamped
+// float-to-Duration conversion wraps negative past ~9.2e9 s, and the
+// timer it arms fires immediately, forever.
+func timerDelay(virtualSec, timescale float64) time.Duration {
+	wall := virtualSec / timescale
+	if wall >= maxTimerDelay.Seconds() {
+		return maxTimerDelay
+	}
+	if wall > 0 {
+		return time.Duration(wall * float64(time.Second))
+	}
+	return 0
 }
 
 // completeDue fires every completion at or before the virtual now, in
@@ -408,7 +409,7 @@ type daemonSnapshot struct {
 // writeSnapshot persists daemon state atomically (temp file + rename).
 // Only the scheduler goroutine calls it, so the core is quiescent.
 func (s *Server) writeSnapshot(now float64) error {
-	var core bytesBuffer
+	var core bytes.Buffer
 	if err := s.cfg.Core.Snapshot(&core); err != nil {
 		return err
 	}
@@ -416,7 +417,7 @@ func (s *Server) writeSnapshot(now float64) error {
 		Version: daemonSnapshotVersion,
 		NowSec:  now,
 		Ops:     s.ops.all(),
-		Core:    json.RawMessage(core.b),
+		Core:    core.Bytes(),
 	}
 	raw, err := json.Marshal(&snap)
 	if err != nil {
@@ -427,13 +428,6 @@ func (s *Server) writeSnapshot(now float64) error {
 		return err
 	}
 	return os.Rename(tmp, s.cfg.SnapshotPath)
-}
-
-type bytesBuffer struct{ b []byte }
-
-func (w *bytesBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }
 
 // ---- middleware ----

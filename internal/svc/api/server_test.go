@@ -2,6 +2,8 @@ package api
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -435,5 +437,79 @@ func TestRunLoadDeterministicStream(t *testing.T) {
 	}
 	if second.Deduped != 30 || second.Submitted != 0 {
 		t.Fatalf("second run did not fully dedup: %+v", second)
+	}
+}
+
+// TestBurstDrainsIntoOneRound is the batched-admission gate at the
+// daemon: 500 submissions are accepted before the scheduler goroutine
+// exists, so when it starts the whole burst is waiting, and it must
+// drain them under one timestamp into one admission round. Every job
+// then carries the same SubmitSec; a queue pass per submission would
+// stamp each with a clock reading of its own.
+func TestBurstDrainsIntoOneRound(t *testing.T) {
+	db, node := testDB(t)
+	core, err := svc.New(svc.Config{
+		Node: node, Nodes: 2048, Policy: placement.SNS,
+		MaxScale: 8, ScanDepth: 32, AgingPeriodSec: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{
+		Core: core, Model: svc.PolicyRuntime(placement.SNS, node), DB: db, Timescale: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	const burst = 500
+	var last Op
+	for i := 0; i < burst; i++ {
+		if last, err = c.Submit(mgSpec(fmt.Sprintf("burst-%d", i), 1+i%4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Start()
+	// Ops resolve in acceptance order, so the last one resolving means
+	// run applied the whole burst (Shutdown alone would not show it: its
+	// own drain also applies everything under one timestamp).
+	if _, err := c.WaitOp(last.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	stamps := map[float64]bool{}
+	core.Each(func(j *svc.Job) { stamps[j.SubmitSec] = true })
+	if got := core.Stats().Submitted; got != burst {
+		t.Fatalf("%d of %d submissions admitted", got, burst)
+	}
+	if len(stamps) != 1 {
+		t.Fatalf("burst admitted under %d timestamps, want one drain under one", len(stamps))
+	}
+}
+
+// TestTimerDelay pins the completion timer's arming: whatever finish
+// time a client's runtime produces and however slow the virtual clock,
+// the delay is a duration in [0, maxTimerDelay].
+func TestTimerDelay(t *testing.T) {
+	for _, timescale := range []float64{1e-3, 1, 1e6} {
+		for _, virtualSec := range []float64{-1e10, -5, 0, 1e-9, 30, 1e10, 1e18, 1e308, math.Inf(1)} {
+			got := timerDelay(virtualSec, timescale)
+			if got < 0 || got > maxTimerDelay {
+				t.Errorf("timerDelay(%g, %g) = %v, outside [0, %v]", virtualSec, timescale, got, maxTimerDelay)
+			}
+			if virtualSec <= 0 && got != 0 {
+				t.Errorf("timerDelay(%g, %g) = %v, want 0 for a completion already due", virtualSec, timescale, got)
+			}
+			if wall := virtualSec / timescale; wall >= maxTimerDelay.Seconds() && got != maxTimerDelay {
+				t.Errorf("timerDelay(%g, %g) = %v, want the %v ceiling", virtualSec, timescale, got, maxTimerDelay)
+			}
+		}
+	}
+	if got, want := timerDelay(30, 10), 3*time.Second; got != want {
+		t.Errorf("timerDelay(30, 10) = %v, want %v", got, want)
 	}
 }

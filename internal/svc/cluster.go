@@ -59,6 +59,9 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("svc: bad node spec: %w", err)
 	}
 	state := placement.NewSimState(cfg.Node, cfg.Nodes)
+	cache := placement.NewScoreCache(cfg.Nodes, cfg.Node.Cores.Int())
+	state.SetOnChange(cache.Invalidate)
+	state.SetOnSpanChange(cache.InvalidateSpan)
 	c := &Cluster{
 		cfg:     cfg,
 		state:   state,
@@ -72,12 +75,7 @@ func New(cfg Config) (*Cluster, error) {
 		Nodes:        cfg.Nodes,
 		MaxScale:     cfg.MaxScale,
 		HasIntensive: state.HasIntensive,
-	}
-	if !cfg.NoScoreCache {
-		cache := placement.NewScoreCache(cfg.Nodes, cfg.Node.Cores.Int())
-		state.SetOnChange(cache.Invalidate)
-		state.SetOnSpanChange(cache.InvalidateSpan)
-		c.search.Cache = cache
+		Cache:        cache,
 	}
 	if invariant.Active() {
 		label := cfg.AuditLabel

@@ -49,9 +49,6 @@ type Config struct {
 	// AgingPeriodSec is the wait that promotes a queued job one
 	// priority level (<= 0: one second).
 	AgingPeriodSec float64
-	// NoScoreCache disables the incremental score cache (the
-	// from-scratch reference path; placements are bit-identical).
-	NoScoreCache bool
 	// AuditLabel names the runtime invariant auditor attached when
 	// auditing is active ("" = "svc").
 	AuditLabel string

@@ -290,6 +290,10 @@ func TestBatchedAdmissionEquivalence(t *testing.T) {
 // shard- and width-invariant by contract, so ignoring the keys is
 // correct; the case pins that Restore keeps tolerating unknown config
 // keys (no DisallowUnknownFields without a snapshotVersion bump).
+// The third is what a core with the retired score-cache opt-out set
+// wrote. The from-scratch search placed bit-identically to the
+// cached one by contract, so the restored core is cached like any other
+// and must schedule exactly as the live one does.
 func TestSnapshotRestore(t *testing.T) {
 	for _, policy := range []placement.Policy{placement.CE, placement.CS, placement.SNS, placement.TwoSlot} {
 		t.Run(policy.String(), func(t *testing.T) { testSnapshotRestore(t, policy) })
@@ -352,8 +356,9 @@ func testSnapshotRestore(t *testing.T, policy placement.Policy) {
 	docs := []struct{ name, doc string }{
 		{"fresh", fresh},
 		{"retired kernel knobs", strings.Replace(fresh, `"config":{`, `"config":{"Shards":64,"MutWorkers":8,`, 1)},
+		{"retired score-cache opt-out", strings.Replace(fresh, `"config":{`, `"config":{"NoScoreCache":true,`, 1)},
 	}
-	if docs[1].doc == fresh {
+	if docs[1].doc == fresh || docs[2].doc == fresh {
 		t.Fatal("could not inject the retired keys into the snapshot's config")
 	}
 	restored := make([]*Cluster, len(docs))
@@ -380,6 +385,9 @@ func testSnapshotRestore(t *testing.T, policy placement.Policy) {
 		})
 		if _, ok := r.JobByName("mg-1"); !ok {
 			t.Fatalf("%s: name index lost in restore", d.name)
+		}
+		if r.search.Cache == nil {
+			t.Fatalf("%s: restored core searches without the score cache", d.name)
 		}
 	}
 

@@ -48,11 +48,6 @@ type SimConfig struct {
 	// ScanDepth bounds how many pending jobs one scheduling pass may
 	// try beyond the queue head (backfill depth).
 	ScanDepth int
-	// NoScoreCache replays with from-scratch scoring instead of the
-	// incremental score cache — the reference path the cached-replay
-	// equivalence tests and benchmarks compare against. The two paths
-	// produce bit-identical placements; only the cost differs.
-	NoScoreCache bool
 }
 
 // DefaultSimConfig returns the paper's settings for a cluster size.
@@ -188,7 +183,6 @@ func simulate(jobs []Job, db *profiler.DB, node hw.NodeSpec, cfg SimConfig, batc
 		MaxScale:       cfg.MaxScale,
 		ScanDepth:      cfg.ScanDepth,
 		AgingPeriodSec: 1,
-		NoScoreCache:   cfg.NoScoreCache,
 		AuditLabel:     "trace",
 	})
 	if err != nil {
