@@ -250,16 +250,25 @@ func (a *Auditor) CheckSimState(s *placement.SimState) {
 	a.CheckIndex(s.Index())
 }
 
-// CheckScoreCache verifies a search's score cache against the live
-// backend it indexes: clean nodes filed under their current free-core
-// bucket with bit-identical cached scores, treaps emitting strict
-// ascending (score, id) order, and treap membership covering every
-// flushed node. A search without a cache passes vacuously.
+// CheckScoreCache verifies what a search keeps between calls against
+// the live backend it reads. The score cache: clean nodes filed under
+// their current free-core bucket with bit-identical cached scores,
+// bucket lists in strict ascending (score, id) order, and every flushed
+// node recoverable from its bucket. The remembered failures: for every
+// entry, no more nodes able to host its demand than the failed walk
+// counted plus the node-slots released since — so a mutation that frees
+// capacity without moving the backend's release counter fails here, not
+// in a digest. A search with neither passes vacuously.
 func (a *Auditor) CheckScoreCache(s *placement.Search) {
-	if s == nil || s.Cache == nil {
+	if s == nil {
 		return
 	}
-	if err := s.Cache.Audit(s.View, s.Idx, s.Spec, s.ScoreBeta()); err != nil {
+	if s.Cache != nil {
+		if err := s.Cache.Audit(s.View, s.Idx, s.Spec, s.ScoreBeta()); err != nil {
+			a.failf("%v", err)
+		}
+	}
+	if err := s.AuditFailures(); err != nil {
 		a.failf("%v", err)
 	}
 }

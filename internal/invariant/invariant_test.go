@@ -6,6 +6,7 @@ import (
 
 	"spreadnshare/internal/app"
 	"spreadnshare/internal/cluster"
+	"spreadnshare/internal/core"
 	"spreadnshare/internal/exec"
 	"spreadnshare/internal/hw"
 	"spreadnshare/internal/placement"
@@ -80,6 +81,37 @@ func TestCheckSimStateCatchesBandwidthLeak(t *testing.T) {
 	// bandwidth beyond the node's peak.
 	s.Release(0, placement.Reservation{BW: 10})
 	mustPanic(t, "free bandwidth", func() { a.CheckSimState(s) })
+}
+
+// TestCheckScoreCacheCatchesUncountedRelease hands capacity back behind
+// the release counter's back — a reserve of negative amounts, standing
+// in for a future mutation that frees capacity and forgets to count it —
+// after a search has remembered a failure: the recount finds more nodes
+// able to host the demand than the remembered bound allows.
+func TestCheckScoreCacheCatchesUncountedRelease(t *testing.T) {
+	spec := hw.DefaultNodeSpec()
+	s := placement.NewSimState(spec, 4)
+	search := &placement.Search{View: s, Idx: s.Index(), Spec: spec, Nodes: 4}
+	a := New("t")
+	held := placement.Reservation{Cores: 2, Ways: spec.LLCWays - 2}
+	for id := 0; id < 4; id++ {
+		s.Reserve(id, held)
+	}
+	d := core.Demand{Cores: 4, Ways: 4}
+	if search.FindDemand(1, d) != nil {
+		t.Fatal("4 ways fit on a node with 2 free")
+	}
+	a.CheckScoreCache(search) // a remembered failure that still holds must pass
+
+	// A counted release loosens the bound as it frees the node.
+	s.Release(0, held)
+	a.CheckScoreCache(search)
+	if got := search.FindDemand(2, d); got != nil {
+		t.Fatalf("FindDemand(2) = %v with one node freed", got)
+	}
+
+	s.Reserve(1, placement.Reservation{Cores: -held.Cores, Ways: -held.Ways})
+	mustPanic(t, "node-slots were released since", func() { a.CheckScoreCache(search) })
 }
 
 func TestCheckIndexAgreement(t *testing.T) {

@@ -14,10 +14,12 @@ import (
 // and wired the way svc.New wires production (span mutations through
 // ReserveSpan/ReleaseSpan + InvalidateSpan), one searched from scratch
 // and mutated only by per-node Reserve/Release — the ground truth
-// ReserveSpan's doc comment promises to match. Every query must find the
-// two backends in identical state and return the identical node list —
-// the bit-identical-digest contract — and the cache must pass its own
-// audit after every step.
+// ReserveSpan's doc comment promises to match. The from-scratch search
+// sees its cluster through tableFree, so it also remembers no failures:
+// every answer it gives comes from a walk. Every query must find the two
+// backends in identical state and return the identical node list — the
+// bit-identical-digest contract — and the cache and the remembered
+// failures must pass their audits after every step.
 type cacheHarness struct {
 	spec   hw.NodeSpec
 	nodes  int
@@ -28,6 +30,11 @@ type cacheHarness struct {
 	held   [][]Reservation
 	spans  []heldSpan
 }
+
+// tableFree shows a backend through NodeView alone. The embedded
+// interface promotes none of the backend's other methods, so a Search
+// over it finds no release counter and keeps no remembered failures.
+type tableFree struct{ NodeView }
 
 // heldSpan is one live uniform span reservation awaiting its release.
 type heldSpan struct {
@@ -55,7 +62,7 @@ func newCacheHarness(nodes int, noGrouping bool) *cacheHarness {
 	h.cached.SetOnChange(h.cs.Cache.Invalidate)
 	h.cached.SetOnSpanChange(h.cs.Cache.InvalidateSpan)
 	h.ps = &Search{
-		View:       h.plain,
+		View:       tableFree{h.plain},
 		Idx:        h.plain.Index(),
 		Spec:       spec,
 		Nodes:      nodes,
@@ -164,8 +171,8 @@ func (h *cacheHarness) sameState(t *testing.T) {
 
 // query checks the two backends hold the same state, runs the same
 // FindDemand on both searches and fails on the first divergence, then
-// audits the cache against the live backend.
-func (h *cacheHarness) query(t *testing.T, n int, d core.Demand) {
+// audits the cache against the live backend. It returns the answer.
+func (h *cacheHarness) query(t *testing.T, n int, d core.Demand) []int {
 	t.Helper()
 	h.sameState(t)
 	got := h.cs.FindDemand(n, d)
@@ -181,6 +188,10 @@ func (h *cacheHarness) query(t *testing.T, n int, d core.Demand) {
 	if err := h.cs.Cache.Audit(h.cached, h.cached.Index(), h.spec, h.cs.ScoreBeta()); err != nil {
 		t.Fatalf("after FindDemand(%d, %+v): %v", n, d, err)
 	}
+	if err := h.cs.AuditFailures(); err != nil {
+		t.Fatalf("after FindDemand(%d, %+v): %v", n, d, err)
+	}
+	return got
 }
 
 // step decodes one fuzz byte into a mutation or a query. Three of the
@@ -214,6 +225,21 @@ func (h *cacheHarness) step(t *testing.T, i int, op byte) {
 	}
 }
 
+// stepStuck is step with one case appended: a wide query is followed by
+// one for nearly the whole cluster under one of two nested demands — the
+// query that keeps failing and keeps being asked again, which is what
+// remembered failures answer. It is appended rather than given a bit
+// pattern of its own because recorded fuzz inputs replay by byte value:
+// every byte still decodes to the mutation it always did. The score gate
+// below keeps the bare decode, and with it the counts it was sized on.
+func (h *cacheHarness) stepStuck(t *testing.T, i int, op byte) {
+	t.Helper()
+	h.step(t, i, op)
+	if op&3 == 3 {
+		h.query(t, h.nodes-int(op>>5), core.Demand{Cores: 2 + int(op>>3)&1, Ways: 2, BW: 10})
+	}
+}
+
 // TestCachedSearchEquivalence drives long seeded mutation/query
 // schedules through the harness in both grouping modes — the standing
 // regression test for the cache's bit-identical contract.
@@ -225,7 +251,7 @@ func TestCachedSearchEquivalence(t *testing.T) {
 			ops := make([]byte, 1500)
 			rng.Read(ops)
 			for i, op := range ops {
-				h.step(t, i, op)
+				h.stepStuck(t, i, op)
 			}
 			// Drain every reservation so release-driven invalidation on
 			// the way back to an idle cluster is covered too.
@@ -284,7 +310,7 @@ func FuzzCachedSearch(f *testing.F) {
 		}
 		h := newCacheHarness(64, noGrouping)
 		for i, op := range ops {
-			h.step(t, i, op)
+			h.stepStuck(t, i, op)
 		}
 		h.query(t, 2, core.Demand{Cores: 2})
 	})
@@ -319,6 +345,42 @@ func TestCachedSearchSteadyStateAllocs(t *testing.T) {
 	// come from steady-state scratch.
 	if allocs > 1.5 {
 		t.Errorf("steady-state mutate+search allocates %.1f objects/run, want <= 1 (result slice)", allocs)
+	}
+}
+
+// TestFailingSearchSteadyStateAllocs is the same gate for the search a
+// standing queue makes: on a cluster whose ways bind everywhere, a node
+// is released and taken again (which loosens every remembered bound by
+// one node), one search walks the whole cluster, fails and overwrites
+// its remembered failure, and a wider one is answered from the table.
+// Nothing is returned, so nothing may be allocated.
+func TestFailingSearchSteadyStateAllocs(t *testing.T) {
+	h := newCacheHarness(512, false)
+	for id := 0; id < h.nodes; id++ {
+		h.reserve(id, 2, 18, 10) // 2 ways left
+	}
+	d := core.Demand{Cores: 4, Ways: 4, BW: 10}
+	cycle := func(i int) {
+		id := (i * 37) % h.nodes
+		h.release(id)
+		h.reserve(id, 2, 18, 10)
+		if h.cs.provenShort(1, d) || h.cs.FindDemand(1, d) != nil {
+			t.Fatal("the narrow search did not walk and fail")
+		}
+		if !h.cs.provenShort(2, d) || h.cs.FindDemand(2, d) != nil {
+			t.Fatal("the wide search was not answered from the table")
+		}
+	}
+	for i := 0; i < 1000; i++ { // warm the bucket lists and the table
+		cycle(i)
+	}
+	n := 1000
+	allocs := testing.AllocsPerRun(200, func() {
+		cycle(n)
+		n++
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state mutate+failing search allocates %.1f objects/run, want 0", allocs)
 	}
 }
 

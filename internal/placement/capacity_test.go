@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"spreadnshare/internal/core"
 	"spreadnshare/internal/hw"
 )
 
@@ -53,5 +54,26 @@ func TestCapacityRoundTrip(t *testing.T) {
 	short := NewSimState(spec, 2)
 	if err := short.ImportCapacity(c); err == nil {
 		t.Fatal("ImportCapacity accepted arrays sized for a different cluster")
+	}
+}
+
+// TestImportCapacityCountsAsRelease: an import may raise any node's
+// free capacity, so a search that remembered a failure on the old floats
+// must walk again afterwards instead of answering from the table.
+func TestImportCapacityCountsAsRelease(t *testing.T) {
+	st, s := newTestSearch(4)
+	idle := st.ExportCapacity()
+	for id := 0; id < 4; id++ {
+		reserve(st, id, 2, 0, 100, 0)
+	}
+	d := core.Demand{Cores: 4, BW: 30}
+	if s.FindDemand(4, d) != nil {
+		t.Fatal("30 GB/s fit on nodes with 18 free")
+	}
+	if err := st.ImportCapacity(idle); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.FindDemand(4, d); len(got) != 4 {
+		t.Errorf("FindDemand after import = %v, want all 4 nodes", got)
 	}
 }

@@ -1,6 +1,9 @@
 package placement
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Item is one queued job: an opaque id plus the fields the queue
 // discipline ranks by.
@@ -99,13 +102,9 @@ func (q *Pending) Schedule(now float64, try func(id int) bool) {
 	rank := func(it Item) float64 {
 		return float64(it.Priority) + (now-it.Submit)/period
 	}
-	sort.SliceStable(q.items, func(a, b int) bool {
-		ra, rb := rank(q.items[a]), rank(q.items[b])
-		//lint:floateq exact tie detection between two runs of the same computation
-		if ra != rb {
-			return ra > rb
-		}
-		return q.items[a].Order < q.items[b].Order
+	slices.SortStableFunc(q.items, func(a, b Item) int {
+		// Highest rank first; exact ties go to submission order.
+		return cmp.Or(cmp.Compare(rank(b), rank(a)), cmp.Compare(a.Order, b.Order))
 	})
 	kept := q.items[:0]
 	failures := 0

@@ -103,8 +103,9 @@ func EvenSplit(procs, n int) []int {
 
 // Search runs the placement policies over one cluster backend. The
 // backend supplies capacity reads (View) and the synchronized free-core
-// index (Idx); between calls the Search keeps only reusable buffers and
-// constant tables, never cluster state.
+// index (Idx); between calls the Search keeps only reusable buffers,
+// constant tables and bounds left by failed walks that hold whatever the
+// cluster does next (failed.go) — never a copy of cluster state.
 //
 // Determinism rules (the golden figure digests depend on them):
 //
@@ -154,6 +155,11 @@ type Search struct {
 	// runs maps a per-node core count to a run of that value, the
 	// backing store of every footprint plan's Cores (see repeated).
 	runs map[int][]int
+
+	// failed is the remembered-failure table (failed.go): derived state
+	// like the scratch above, never snapshotted — an empty table only
+	// means the next failing walk is made instead of skipped.
+	failed []failBound
 }
 
 // scoredNode pairs a candidate with its selection score.
@@ -276,7 +282,7 @@ func (s *Search) placeSNS(req Request) *Plan {
 	}
 	scales := prof.ByPerformance()
 	if prof.Class != profiler.Scaling {
-		scales = append([]*profiler.ScaleProfile(nil), scales...)
+		// ByPerformance hands out a fresh slice, so it is re-sorted in place.
 		sort.Slice(scales, func(a, b int) bool { return scales[a].K < scales[b].K })
 	}
 	for _, sp := range scales {
@@ -348,9 +354,13 @@ func (s *Search) repeated(v, n int) []int {
 // whole cluster. Within the chosen set it returns the n idlest nodes by
 // the Co + Bo + beta*Wo score. It returns nil when fewer than n qualify.
 //
+// A walk that fails has counted every node that can host the demand, and
+// leaves that count behind (rememberFailure); a query a remembered count
+// already rules out is answered nil before any walk (provenShort).
+//
 //sns:hotpath
 func (s *Search) FindDemand(n int, d core.Demand) []int {
-	if n <= 0 {
+	if n <= 0 || s.provenShort(n, d) {
 		return nil
 	}
 	if s.Cache != nil {
@@ -383,6 +393,7 @@ func (s *Search) FindDemand(n int, d core.Demand) []int {
 	}
 	s.scratch.ids = all
 	if len(all) < n {
+		s.rememberFailure(d, len(all))
 		return nil
 	}
 	return s.selectIdlest(all, n)
@@ -441,6 +452,7 @@ func (s *Search) findDemandCached(n int, d core.Demand) []int {
 	}
 	s.scratch.pairs = all
 	if len(all) < n {
+		s.rememberFailure(d, len(all))
 		return nil
 	}
 	return s.takeIdlest(all, n)

@@ -20,6 +20,14 @@ type SimState struct {
 	freeIO    []units.GBps
 	intensive []int // running intensive-job count per node (TwoSlot)
 
+	// released counts node-slots ever released: one per Release, one per
+	// node of a ReleaseSpan, the whole cluster per ImportCapacity. It only
+	// grows and reserves never touch it, so between two readings at most
+	// the difference many nodes can have gained capacity — the bound
+	// Search's remembered failures rest on. Anything new that frees
+	// capacity must count here; the invariant auditor recounts against it.
+	released uint64
+
 	// onChange, when set, is called with every node id whose reservation
 	// state changes — the score cache's dirty-set feed.
 	onChange func(id int)
@@ -84,6 +92,11 @@ func (s *SimState) MaxFreeCores() int { return s.idx.MaxFree() }
 
 // HasIntensive reports whether the node hosts an intensive job.
 func (s *SimState) HasIntensive(id int) bool { return s.intensive[id] > 0 }
+
+// Released returns the monotone count of node-slots released so far. A
+// Search whose View reports it (see releaseCounter) remembers failed
+// demands across calls.
+func (s *SimState) Released() uint64 { return s.released }
 
 // NodeView.
 
@@ -170,6 +183,7 @@ func (s *SimState) ReleaseSpan(ids []int, r Reservation) {
 			s.intensive[id]--
 		}
 	}
+	s.released += uint64(len(ids))
 	s.notifySpan(ids)
 }
 
@@ -196,6 +210,7 @@ func (s *SimState) Release(id int, r Reservation) {
 	if r.Intensive {
 		s.intensive[id]--
 	}
+	s.released++
 	if s.onChange != nil {
 		s.onChange(id)
 	}
