@@ -292,6 +292,7 @@ func TestHotpathCoverage(t *testing.T) {
 		"(*spreadnshare/internal/placement.ScoreCache).prepare",
 		"(*spreadnshare/internal/placement.ScoreCache).fold",
 		"(*spreadnshare/internal/placement.ScoreCache).walk",
+		"spreadnshare/internal/placement.sortRuns",
 	}
 	for _, name := range required {
 		if !covered[name] {

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"spreadnshare/internal/hw"
@@ -25,18 +26,23 @@ type cacheEntry struct {
 //
 // Mutations are O(1): backends call Invalidate(id) after every
 // reservation change (SimState does it inside Reserve/Release; the
-// testbed wires cluster.State.OnChange), which just sets a dirty bit.
-// All ordering work happens at search time, where it is amortized over
-// the whole dirty batch:
+// testbed wires cluster.State.OnChange), which just sets the node's bit
+// in the dirty bitset. All ordering work happens at search time, where
+// it is amortized over the whole dirty batch and leans on the order the
+// batch already has:
 //
-//   - flush (top of every cached search): each dirty node is rescored
-//     once — however many times it was invalidated since the last
-//     search — and a fresh entry is appended to its current bucket's
-//     pending adds.
+//   - flush (top of every cached search): the bitset is drained in
+//     ascending node-id order — its only order — and each dirty node is
+//     rescored once, however many times it was invalidated since the
+//     last search. A node whose (score, bucket) key did not move keeps
+//     the entry it has; any other gets a fresh entry appended to its
+//     current bucket's pending adds.
 //   - prepare (first touch of a bucket per search): pending adds are
-//     sorted and folded into the bucket's small sorted overlay; the
-//     overlay consolidates into the big base list only when it outgrows
-//     an eighth of it, so a lightly-churned bucket never pays a full
+//     put in order by sortRuns — a span's nodes share a score and were
+//     filed id-ascending, so a batch is nearly always one or two runs —
+//     and folded into the bucket's small sorted overlay; the overlay
+//     consolidates into the big base list only when it outgrows an
+//     eighth of it, so a lightly-churned bucket never pays a full
 //     rewrite. Stale entries are dropped during every fold, keeping
 //     lists near live size without a separate compaction pass.
 //   - walk: a two-way merge of base and overlay in ascending
@@ -46,41 +52,60 @@ type cacheEntry struct {
 // Staleness is detected per entry without back-pointers: an entry in
 // bucket f is live exactly when the node's current free-core count is
 // still f and its memoized score still bit-equals the entry's key. A
-// node re-filed under an unchanged (score, bucket) key produces an
-// exactly-equal entry adjacent to the old one in merge order, which the
-// folds and the walk deduplicate by adjacency.
+// node that left its key and came back to it is re-filed under an
+// exactly-equal entry, adjacent to the old one in merge order if a fold
+// has not dropped that yet, which the folds and the walk deduplicate by
+// adjacency.
+//
+// No fold runs while any node is dirty (prepare asserts it): a fold
+// judges liveness against the memoized score, which lags the backend for
+// a dirty node, so it could drop the very entry flush would later decide
+// to keep.
 //
 // Node ids are stored as int32 (a 2-billion-node cluster is beyond any
-// trace this repository replays); NewScoreCache rejects larger shapes.
+// trace this repository replays) and filed buckets as uint16;
+// NewScoreCache rejects larger shapes.
 type ScoreCache struct {
-	score   []float64 // node id -> memoized Co + Bo + beta*Wo
-	dirty   []int32   // invalidated node ids awaiting a flush
-	isDirty []bool    // node id -> already on the dirty stack
+	score  []float64 // node id -> memoized Co + Bo + beta*Wo
+	filed  []uint16  // node id -> bucket its current entry was filed under
+	dirty  []uint64  // node-id bitset of invalidated nodes awaiting a flush
+	ndirty int       // population of dirty
 
-	base    [][]cacheEntry // free cores -> big ordered (score, id) list
-	over    [][]cacheEntry // free cores -> small ordered overlay
-	adds    [][]cacheEntry // free cores -> unsorted pending entries
-	scratch []cacheEntry   // fold scratch, swapped with the rewritten list
+	base [][]cacheEntry // free cores -> big ordered (score, id) list
+	over [][]cacheEntry // free cores -> small ordered overlay
+	adds [][]cacheEntry // free cores -> pending entries, filed id-ascending per flush
+	// Each ordered list folds into a second buffer of its own and swaps
+	// with it, so a large base and a small overlay never trade backings.
+	baseSpare [][]cacheEntry
+	overSpare [][]cacheEntry
+	sortBuf   []cacheEntry // sortRuns' merge buffer
 }
+
+// unfiled is the filed value of a node no flush has reached yet. It is
+// no bucket, so the first flush files every node.
+const unfiled = 1<<16 - 1
 
 // NewScoreCache builds the cache for a cluster of the given shape.
 // Every node starts dirty, so the first flush populates the bucket
 // lists from the live backend — construction itself never reads scores.
 func NewScoreCache(nodes, cores int) *ScoreCache {
-	if nodes < 0 || cores < 1 || nodes > 1<<31-1 {
+	if nodes < 0 || cores < 1 || nodes > 1<<31-1 || cores >= unfiled {
 		panic(fmt.Sprintf("placement: bad score-cache shape %d nodes / %d cores", nodes, cores))
 	}
 	c := &ScoreCache{
-		score:   make([]float64, nodes),
-		dirty:   make([]int32, 0, nodes),
-		isDirty: make([]bool, nodes),
-		base:    make([][]cacheEntry, cores+1),
-		over:    make([][]cacheEntry, cores+1),
-		adds:    make([][]cacheEntry, cores+1),
+		score:     make([]float64, nodes),
+		filed:     make([]uint16, nodes),
+		dirty:     make([]uint64, (nodes+63)/64),
+		ndirty:    nodes,
+		base:      make([][]cacheEntry, cores+1),
+		over:      make([][]cacheEntry, cores+1),
+		adds:      make([][]cacheEntry, cores+1),
+		baseSpare: make([][]cacheEntry, cores+1),
+		overSpare: make([][]cacheEntry, cores+1),
 	}
-	for id := 0; id < nodes; id++ {
-		c.isDirty[id] = true
-		c.dirty = append(c.dirty, int32(id))
+	for id := range c.filed {
+		c.filed[id] = unfiled
+		c.dirty[id>>6] |= 1 << (id & 63)
 	}
 	return c
 }
@@ -94,29 +119,23 @@ func NewScoreCache(nodes, cores int) *ScoreCache {
 //
 //sns:hotpath
 func (c *ScoreCache) Invalidate(id int) {
-	if c.isDirty[id] {
-		return
+	w, bit := id>>6, uint64(1)<<(id&63)
+	if c.dirty[w]&bit == 0 {
+		c.dirty[w] |= bit
+		c.ndirty++
 	}
-	c.isDirty[id] = true
-	//lint:allocfree dirty stack reuses its len(nodes)-cap backing; each node appears at most once
-	c.dirty = append(c.dirty, int32(id))
 }
 
 // InvalidateSpan marks every node in ids stale in one call — the
 // round-coalesced form of Invalidate that SimState's span mutations
 // feed: the change hook fires once per placement round instead of once
-// per node. The dirty stack and dedup bits land exactly as the
-// per-node Invalidate loop would leave them.
+// per node. The dirty set lands exactly as the per-node Invalidate loop
+// would leave it.
 //
 //sns:hotpath
 func (c *ScoreCache) InvalidateSpan(ids []int) {
 	for _, id := range ids {
-		if c.isDirty[id] {
-			continue
-		}
-		c.isDirty[id] = true
-		//lint:allocfree dirty stack reuses its len(nodes)-cap backing; each node appears at most once
-		c.dirty = append(c.dirty, int32(id))
+		c.Invalidate(id)
 	}
 }
 
@@ -134,6 +153,83 @@ func entryLess(a, b cacheEntry) int {
 	return int(a.id) - int(b.id)
 }
 
+// entryBefore reports whether a sorts strictly before b in entryLess's
+// order. It is the comparison of sortRuns' inner loops, small enough to
+// inline there and deliberately not entryLess: the benchmark's profile
+// charges entryLess to the flush by name, and a sort's compares belong
+// to whoever called the sort.
+func entryBefore(a, b cacheEntry) bool {
+	//lint:floateq exact tie detection so the (score, id) order stays total
+	return a.score < b.score || (a.score == b.score && a.id < b.id)
+}
+
+// runEnd returns the end of the maximal ascending run of ents that
+// starts at lo (lo itself when lo is the end of ents).
+func runEnd(ents []cacheEntry, lo int) int {
+	if lo >= len(ents) {
+		return lo
+	}
+	hi := lo + 1
+	for hi < len(ents) && !entryBefore(ents[hi], ents[hi-1]) {
+		hi++
+	}
+	return hi
+}
+
+// sortRuns sorts ents ascending by (score, id) — entryLess's order —
+// in place, as a natural-run merge sort: it finds the maximal ascending
+// runs the input already has and merges neighbouring runs pairwise,
+// back and forth between ents and *buf, until one is left. Input that
+// is one run costs a single pass and never touches the buffer; r runs
+// cost O(n log r); strictly interleaved input is the O(n log n) of the
+// comparison sort this replaced. The order is total and entries with
+// equal keys are identical, so any correct sort emits this sequence.
+//
+// The batches it is handed are nearly sorted by construction: a flush
+// files pending adds in ascending id order and a span's nodes share one
+// score, and the fallback search concatenates sorted bucket walks.
+//
+//sns:hotpath
+func sortRuns(ents []cacheEntry, buf *[]cacheEntry) {
+	n := len(ents)
+	if runEnd(ents, 0) == n {
+		return
+	}
+	if cap(*buf) < n {
+		//lint:allocfree the merge buffer grows to the widest multi-run batch and is then reused
+		*buf = append((*buf)[:0], ents...)
+	}
+	src, dst := ents, (*buf)[:n]
+	for {
+		merged := 0
+		for lo := 0; lo < n; merged++ {
+			mid := runEnd(src, lo)
+			hi := runEnd(src, mid)
+			i, j, k := lo, mid, lo
+			for i < mid && j < hi {
+				if entryBefore(src[j], src[i]) {
+					dst[k] = src[j]
+					j++
+				} else {
+					dst[k] = src[i]
+					i++
+				}
+				k++
+			}
+			k += copy(dst[k:], src[i:mid])
+			copy(dst[k:], src[j:hi])
+			lo = hi
+		}
+		src, dst = dst, src
+		if merged == 1 {
+			break
+		}
+	}
+	if &src[0] != &ents[0] {
+		copy(ents, src)
+	}
+}
+
 // live reports whether an entry filed under bucket f still describes
 // its node: the node's current free-core count is still f and its
 // memoized score still bit-equals the entry key. Callers must have
@@ -146,34 +242,44 @@ func (c *ScoreCache) live(e cacheEntry, f int, idx *CoreIndex) bool {
 
 // flush folds pending invalidations into the cache: each dirty node is
 // rescored once via score (the canonical expression over the live view)
-// and refiled under its current free-core bucket as a pending add. The
-// node's old entry — wherever it is — goes stale by key mismatch.
-// Buckets whose backlog outgrew four times their live population are
-// folded eagerly so untouched buckets cannot accumulate unbounded
-// garbage.
+// and, if its (score, bucket) key moved, refiled under its current
+// free-core bucket as a pending add. The node's old entry — wherever it
+// is — goes stale by key mismatch. A node whose key did not move (a
+// short job came and went between two searches) is not refiled: no fold
+// ran while it was dirty, so the entry it was last filed under is still
+// in that bucket's lists. Buckets whose backlog outgrew four times their
+// live population are folded eagerly so untouched buckets cannot
+// accumulate unbounded garbage.
+//
+// The bitset drains in ascending node-id order, so the rescore sequence
+// is a function of the dirty SET, not of the order the round's mutations
+// arrived in, the backend reads walk the capacity arrays sequentially,
+// and each bucket's pending adds are filed id-ascending — sorted
+// already wherever neighbours share a score.
 //
 //sns:hotpath
 func (c *ScoreCache) flush(idx *CoreIndex, score func(id int) float64) {
-	if len(c.dirty) == 0 {
+	if c.ndirty == 0 {
 		return
 	}
-	// Drain the round's whole batch in ascending node-id order: the
-	// rescore sequence becomes a canonical function of the dirty SET,
-	// independent of the arrival order the round's mutations pushed it
-	// in, and the backend reads walk the capacity arrays sequentially
-	// instead of in plan order.
-	//lint:allocfree slices.Sort is an in-place pdqsort over the dirty stack's own backing
-	slices.Sort(c.dirty)
-	for _, id := range c.dirty {
-		//lint:allocfree score is the caller's stack closure over Search.score; the runtime alloc gate verifies the cached search allocates only its results
-		s := score(int(id))
-		c.score[id] = s
-		c.isDirty[id] = false
-		f := idx.Free(int(id))
-		//lint:allocfree bucket backlogs reach steady-state capacity after the first replay epochs
-		c.adds[f] = append(c.adds[f], cacheEntry{score: s, id: id})
+	for w, word := range c.dirty {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 + bits.TrailingZeros64(word)
+			//lint:allocfree score is the caller's stack closure over Search.score; the runtime alloc gate verifies the cached search allocates only its results
+			s := score(id)
+			f := idx.Free(id)
+			//lint:floateq an unmoved key is detected by exact match, the same test live applies to the entry it keeps
+			if s == c.score[id] && int(c.filed[id]) == f {
+				continue
+			}
+			c.score[id] = s
+			c.filed[id] = uint16(f)
+			//lint:allocfree bucket backlogs reach steady-state capacity after the first replay epochs
+			c.adds[f] = append(c.adds[f], cacheEntry{score: s, id: int32(id)})
+		}
+		c.dirty[w] = 0
 	}
-	c.dirty = c.dirty[:0]
+	c.ndirty = 0
 	for f := range c.adds {
 		if len(c.adds[f]) > 0 && len(c.base[f])+len(c.over[f])+len(c.adds[f]) > 4*idx.Count(f)+1024 {
 			c.prepare(f, idx)
@@ -181,14 +287,13 @@ func (c *ScoreCache) flush(idx *CoreIndex, score func(id int) float64) {
 	}
 }
 
-// fold merges two sorted entry lists into the scratch buffer, dropping
-// stale entries and adjacent duplicates, and returns the result. The
-// caller is responsible for recycling the backing array it replaces
-// into c.scratch.
+// fold merges two sorted entry lists into out's backing, dropping stale
+// entries and adjacent duplicates, and returns the result. out is the
+// spare of the list being rewritten; the caller swaps the two.
 //
 //sns:hotpath
-func (c *ScoreCache) fold(a, b []cacheEntry, f int, idx *CoreIndex) []cacheEntry {
-	out := c.scratch[:0]
+func (c *ScoreCache) fold(out, a, b []cacheEntry, f int, idx *CoreIndex) []cacheEntry {
+	out = out[:0]
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
 		var e cacheEntry
@@ -205,7 +310,7 @@ func (c *ScoreCache) fold(a, b []cacheEntry, f int, idx *CoreIndex) []cacheEntry
 		if n := len(out); n > 0 && out[n-1] == e {
 			continue
 		}
-		//lint:allocfree fold scratch reaches steady-state capacity after the first replay epochs
+		//lint:allocfree a list's spare grows by append until it holds the list's steady-state size, then the pair only swaps
 		out = append(out, e)
 	}
 	return out
@@ -217,25 +322,25 @@ func (c *ScoreCache) fold(a, b []cacheEntry, f int, idx *CoreIndex) []cacheEntry
 // light churn without rewriting a large bucket). After prepare, base
 // and overlay together hold every live member of bucket f, in ascending
 // (score, id) order each, plus at most the stale leftovers of nodes
-// that departed without a subsequent add. Call only with a flushed
-// dirty set.
+// that departed without a subsequent add. It panics on an unflushed
+// dirty set: a fold then could drop an entry flush relies on keeping.
 //
 //sns:hotpath
 func (c *ScoreCache) prepare(f int, idx *CoreIndex) {
+	if c.ndirty != 0 {
+		panic("placement: score-cache bucket prepared with dirty nodes pending")
+	}
 	add := c.adds[f]
 	if len(add) == 0 {
 		return
 	}
-	//lint:allocfree slices.SortFunc is an in-place pdqsort; the comparator is a top-level func and nothing escapes
-	slices.SortFunc(add, entryLess)
-	merged := c.fold(c.over[f], add, f, idx)
-	c.scratch = c.over[f][:0]
-	c.over[f] = merged
+	sortRuns(add, &c.sortBuf)
+	merged := c.fold(c.overSpare[f], c.over[f], add, f, idx)
+	c.over[f], c.overSpare[f] = merged, c.over[f]
 	c.adds[f] = add[:0]
 	if len(c.over[f]) > 1024 && len(c.over[f])*8 > len(c.base[f]) {
-		consolidated := c.fold(c.base[f], c.over[f], f, idx)
-		c.scratch = c.base[f][:0]
-		c.base[f] = consolidated
+		consolidated := c.fold(c.baseSpare[f], c.base[f], c.over[f], f, idx)
+		c.base[f], c.baseSpare[f] = consolidated, c.base[f]
 		c.over[f] = c.over[f][:0]
 	}
 }
@@ -278,16 +383,28 @@ func (c *ScoreCache) walk(f int, idx *CoreIndex, fn func(id int32, score float64
 // recomputing them per candidate.
 func (c *ScoreCache) Score(id int) float64 { return c.score[id] }
 
-// Audit cross-checks the cache against the live backend: every clean
-// node's memoized score must bit-equal the canonical expression
-// recomputed over the view, every bucket's base and overlay must be
-// sorted ascending by (score, id), and every clean node must be
-// recoverable from its current bucket's lists or pending adds — the
-// walk-visibility guarantee searches rely on. Dirty nodes are exempt
-// from the score and membership checks: being stale until the next
-// flush is their contract. The runtime invariant auditor and the fuzz
-// harness call this between mutations.
+// Audit cross-checks the cache against the live backend: the dirty
+// bitset must hold exactly the count kept beside it and no bit past the
+// last node, every clean node's memoized score must bit-equal the
+// canonical expression recomputed over the view, every bucket's base and
+// overlay must be sorted ascending by (score, id), and every clean node
+// must have been filed under its current bucket and be recoverable from
+// that bucket's lists or pending adds — the walk-visibility guarantee
+// searches rely on, and what lets flush keep an unmoved node's entry.
+// Dirty nodes are exempt from the score and membership checks: being
+// stale until the next flush is their contract. The runtime invariant
+// auditor and the fuzz harness call this between mutations.
 func (c *ScoreCache) Audit(view NodeView, idx *CoreIndex, spec hw.NodeSpec, beta float64) error {
+	pop := 0
+	for _, word := range c.dirty {
+		pop += bits.OnesCount64(word)
+	}
+	if past := len(c.dirty)<<6 - len(c.score); past > 0 && c.dirty[len(c.dirty)-1]>>(64-past) != 0 {
+		return fmt.Errorf("placement: dirty bit set beyond the cache's %d nodes", len(c.score))
+	}
+	if pop != c.ndirty {
+		return fmt.Errorf("placement: dirty set holds %d nodes, count says %d", pop, c.ndirty)
+	}
 	for _, lists := range [2][][]cacheEntry{c.base, c.over} {
 		for f, ents := range lists {
 			for i := 1; i < len(ents); i++ {
@@ -298,7 +415,7 @@ func (c *ScoreCache) Audit(view NodeView, idx *CoreIndex, spec hw.NodeSpec, beta
 		}
 	}
 	for id := range c.score {
-		if c.isDirty[id] {
+		if c.dirty[id>>6]&(1<<(id&63)) != 0 {
 			continue
 		}
 		want := nodeScoreOf(view, spec, id, beta)
@@ -307,6 +424,9 @@ func (c *ScoreCache) Audit(view NodeView, idx *CoreIndex, spec hw.NodeSpec, beta
 			return fmt.Errorf("placement: node %d cached score %v, recomputed %v", id, c.score[id], want)
 		}
 		f := idx.Free(id)
+		if int(c.filed[id]) != f {
+			return fmt.Errorf("placement: clean node %d filed under bucket %d, has %d cores free", id, c.filed[id], f)
+		}
 		key := cacheEntry{score: c.score[id], id: int32(id)}
 		_, found := slices.BinarySearchFunc(c.base[f], key, entryLess)
 		if !found {

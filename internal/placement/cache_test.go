@@ -1,7 +1,11 @@
 package placement
 
 import (
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"spreadnshare/internal/core"
@@ -194,6 +198,24 @@ func (h *cacheHarness) query(t *testing.T, n int, d core.Demand) []int {
 	return got
 }
 
+// flush drains the cached search's dirty set exactly as the top of a
+// cached FindDemand does, so a test can look at the cache between the
+// flush and the folds a search goes on to make.
+func (h *cacheHarness) flush() {
+	beta := h.cs.beta()
+	h.cs.Cache.flush(h.cs.Idx, func(id int) float64 { return h.cs.score(id, beta) })
+}
+
+// pendingAdds counts the entries filed and not yet folded, over every
+// bucket.
+func (h *cacheHarness) pendingAdds() int {
+	n := 0
+	for _, add := range h.cs.Cache.adds {
+		n += len(add)
+	}
+	return n
+}
+
 // step decodes one fuzz byte into a mutation or a query. Three of the
 // eight low-bit patterns are span mutations (two reserves, one release);
 // the rest decode by their low two bits into per-node mutations and
@@ -224,6 +246,10 @@ func (h *cacheHarness) step(t *testing.T, i int, op byte) {
 		h.query(t, 8+int(op>>4), core.Demand{Cores: int(op>>5) & 3})
 	}
 }
+
+// stepQueries reports whether step decodes op into a search rather than
+// a mutation.
+func stepQueries(op byte) bool { return op&7 > 2 && op&3 >= 2 }
 
 // stepStuck is step with one case appended: a wide query is followed by
 // one for nearly the whole cluster under one of two nested demands — the
@@ -385,9 +411,12 @@ func TestFailingSearchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSpanSteadyStateAllocs is the zero-alloc gate on the production
-// mutation path: once the dirty stack is warm, a span reserve (serial
-// loop + one InvalidateSpan) + search + span release cycle must allocate
-// nothing beyond the result slice.
+// mutation path: once the bucket lists and their spares have grown to
+// their steady-state sizes (the dirty bitset never grows), a span
+// reserve (serial loop + one InvalidateSpan) + search + span release
+// cycle must allocate no object beyond the result slice. It counts
+// objects on lists too short to consolidate; TestWideSpanSteadyStateBytes
+// is the gate on what wide spans allocate.
 func TestSpanSteadyStateAllocs(t *testing.T) {
 	state := NewSimState(hw.DefaultNodeSpec(), 512)
 	cache := NewScoreCache(512, state.Spec().Cores.Int())
@@ -407,11 +436,247 @@ func TestSpanSteadyStateAllocs(t *testing.T) {
 		}
 		state.ReleaseSpan(ids, r)
 	}
-	for i := 0; i < 300; i++ { // warm the dirty stack and bucket lists
+	for i := 0; i < 300; i++ { // warm the bucket lists and their spares
 		cycle()
 	}
 	allocs := testing.AllocsPerRun(200, cycle)
 	if allocs > 1.5 {
 		t.Errorf("steady-state span reserve+search+release allocates %.1f objects/run, want <= 1 (result slice)", allocs)
+	}
+}
+
+// sink keeps a measured allocation on the heap.
+var sink []int
+
+// totalAlloc returns the bytes fn allocates, by the runtime's own count.
+func totalAlloc(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWideSpanSteadyStateBytes is the gate the object counts above
+// cannot be: AllocsPerRun truncates "one result slice, plus half a
+// megabyte of list regrowth every few cycles" to one object. On 32,768
+// nodes wired as svc.New wires them, three wide shapes take turns —
+// each placed by FindDemand, reserved as one span, nine spans held and
+// the oldest released — so every flush drains thousands of nodes and
+// buckets consolidate. Once the bucket lists and their spares have grown
+// to their steady-state sizes, a cycle may allocate its result slice and
+// at most a quarter as much again, in bytes.
+func TestWideSpanSteadyStateBytes(t *testing.T) {
+	const nodes = 32768
+	spec := hw.DefaultNodeSpec()
+	state := NewSimState(spec, nodes)
+	cache := NewScoreCache(nodes, spec.Cores.Int())
+	state.SetOnChange(cache.Invalidate)
+	state.SetOnSpanChange(cache.InvalidateSpan)
+	s := &Search{
+		View: state, Idx: state.Index(), Spec: spec, Nodes: nodes,
+		HasIntensive: state.HasIntensive, Cache: cache,
+	}
+	shapes := []struct {
+		n int
+		r Reservation
+	}{
+		{2800, Reservation{Cores: 4, Ways: 2, BW: 10}},
+		{1500, Reservation{Cores: 8, Ways: 4, BW: 20}},
+		{600, Reservation{Cores: 2, Ways: 1, BW: 5}},
+	}
+	var held [9]heldSpan
+	cycle := func(i int) {
+		n, r := shapes[i%len(shapes)].n, shapes[i%len(shapes)].r
+		ids := s.FindDemand(n, core.Demand{Cores: r.Cores, Ways: r.Ways, BW: r.BW})
+		if ids == nil {
+			t.Fatal("no placement")
+		}
+		state.ReserveSpan(ids, r)
+		oldest := &held[i%len(held)]
+		if oldest.ids != nil {
+			state.ReleaseSpan(oldest.ids, oldest.r)
+		}
+		*oldest = heldSpan{ids, r}
+	}
+	const warm, measured = 600, 200
+	for i := 0; i < warm; i++ {
+		cycle(i)
+	}
+	perCycle := totalAlloc(func() {
+		for i := warm; i < warm+measured; i++ {
+			cycle(i)
+		}
+	}) / measured
+	// What the result slices alone cost, in the allocator's size classes.
+	results := totalAlloc(func() {
+		for _, sh := range shapes {
+			sink = make([]int, sh.n)
+		}
+	}) / uint64(len(shapes))
+	t.Logf("%d B per cycle, result slices %d B (%.2fx)", perCycle, results, float64(perCycle)/float64(results))
+	if 4*perCycle > 5*results {
+		t.Errorf("steady-state wide-span cycle allocates %d B, more than 1.25x its %d B result slice", perCycle, results)
+	}
+}
+
+// TestFlushRefilesOnlyMovedNodes is the count gate on flush's
+// unchanged-key skip: a drained node is rescored always and refiled only
+// when its (score, bucket) key moved.
+func TestFlushRefilesOnlyMovedNodes(t *testing.T) {
+	// A span that came and went between two searches moves no key: the
+	// flush files nothing and the answer stands.
+	t.Run("span reserved and released", func(t *testing.T) {
+		h := newCacheHarness(1024, false)
+		ops := make([]byte, 200)
+		rand.New(rand.NewSource(2)).Read(ops)
+		for i, op := range ops {
+			h.step(t, i, op)
+		}
+		d := core.Demand{Cores: 16, Ways: 4, BW: 30}
+		first := h.query(t, 24, d)
+		for f := range h.cs.Cache.adds {
+			h.cs.Cache.prepare(f, h.cs.Idx)
+		}
+		h.spanReserve(3, 0x29)
+		h.spanRelease()
+		if h.cs.Cache.ndirty == 0 {
+			t.Fatal("the span dirtied no node")
+		}
+		h.flush()
+		for f, add := range h.cs.Cache.adds {
+			if len(add) != 0 {
+				t.Errorf("bucket %d: %d entries refiled for nodes whose key did not move", f, len(add))
+			}
+		}
+		second := h.query(t, 24, d)
+		if len(first) == 0 || !slices.Equal(first, second) {
+			t.Errorf("answer moved across an unmoved span: %v then %v", first, second)
+		}
+	})
+
+	// Over the fuzz decode's churn — a search for about every third
+	// byte, so some spans come and go unseen — the entries filed are
+	// exactly the drained nodes whose key differs from the one they were
+	// last filed under, keys the test reads off the from-scratch twin,
+	// and every drained node is still rescored once.
+	t.Run("churn", func(t *testing.T) {
+		h := newCacheHarness(1024, false)
+		cached := &countingView{NodeView: h.cs.View}
+		h.cs.View = cached
+		type key struct {
+			score  float64
+			bucket int
+		}
+		last := make([]key, h.nodes)
+		for id := range last {
+			last[id].bucket = -1 // never filed
+		}
+		c := h.cs.Cache
+		drained, moved, filed := 0, 0, 0
+		// countedFlush flushes ahead of the search that would, counting
+		// what the flush drains, what moved and what it files.
+		countedFlush := func() {
+			before := h.pendingAdds()
+			drained += c.ndirty
+			for w, word := range c.dirty {
+				for ; word != 0; word &= word - 1 {
+					id := w<<6 + bits.TrailingZeros64(word)
+					k := key{nodeScoreOf(h.plain, h.spec, id, h.cs.beta()), h.plain.Index().Free(id)}
+					if k != last[id] {
+						last[id] = k
+						moved++
+					}
+				}
+			}
+			h.flush()
+			after := h.pendingAdds()
+			if after < before {
+				t.Fatal("flush folded a bucket, so its pending adds no longer count what was filed")
+			}
+			filed += after - before
+		}
+		ops := make([]byte, 1000)
+		rand.New(rand.NewSource(1)).Read(ops)
+		for i, op := range ops {
+			if stepQueries(op) {
+				countedFlush()
+			}
+			h.step(t, i, op)
+		}
+		countedFlush()
+		t.Logf("%d nodes drained, %d with a moved key, %d entries filed", drained, moved, filed)
+		if filed != moved {
+			t.Errorf("flush filed %d entries for %d nodes whose key moved", filed, moved)
+		}
+		if moved == drained {
+			t.Error("every drained node moved: the churn no longer exercises the skip")
+		}
+		if cached.scores != drained {
+			t.Errorf("%d score evaluations for %d drained nodes: the skip must not skip the rescore", cached.scores, drained)
+		}
+	})
+}
+
+// TestScoreCacheAuditCatchesFiledBucket corrupts the filed bucket of a
+// clean node — the record flush's unchanged-key skip trusts — and
+// expects the audit to say so.
+func TestScoreCacheAuditCatchesFiledBucket(t *testing.T) {
+	h := newCacheHarness(64, false)
+	h.reserve(5, 3, 1, 4)
+	h.query(t, 2, core.Demand{Cores: 2})
+	h.cs.Cache.filed[5]++
+	err := h.cs.Cache.Audit(h.cached, h.cached.Index(), h.spec, h.cs.ScoreBeta())
+	if err == nil || !strings.Contains(err.Error(), "clean node 5 filed under bucket") {
+		t.Fatalf("audit of a corrupted filed bucket: %v", err)
+	}
+}
+
+// TestScoreCacheAuditCatchesDirtyCount breaks the bitset's two
+// invariants in turn: a population the stored count does not match, and
+// a bit past the last node.
+func TestScoreCacheAuditCatchesDirtyCount(t *testing.T) {
+	h := newCacheHarness(70, false)
+	h.query(t, 2, core.Demand{Cores: 2})
+	audit := func() error {
+		return h.cs.Cache.Audit(h.cached, h.cached.Index(), h.spec, h.cs.ScoreBeta())
+	}
+	c := h.cs.Cache
+	c.ndirty++
+	if err := audit(); err == nil || !strings.Contains(err.Error(), "count says 1") {
+		t.Fatalf("audit of a miscounted dirty set: %v", err)
+	}
+	c.dirty[1] |= 1 << 6 // node 70 of 70
+	if err := audit(); err == nil || !strings.Contains(err.Error(), "beyond the cache's 70 nodes") {
+		t.Fatalf("audit of a dirty bit past the last node: %v", err)
+	}
+}
+
+// TestPrepareRejectsDirtySet folds a bucket while a node is dirty —
+// what the unchanged-key skip rules out — and expects the panic.
+func TestPrepareRejectsDirtySet(t *testing.T) {
+	h := newCacheHarness(64, false)
+	h.query(t, 2, core.Demand{Cores: 2})
+	h.reserve(5, 3, 1, 4)
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("prepare folded a bucket with a dirty node pending")
+		}
+	}()
+	h.cs.Cache.prepare(h.cached.Index().Free(5), h.cs.Idx)
+}
+
+// TestNewScoreCacheRejectsBadShape covers the shapes the cache's element
+// types cannot hold.
+func TestNewScoreCacheRejectsBadShape(t *testing.T) {
+	for _, shape := range [][2]int{{-1, 28}, {16, 0}, {16, unfiled}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewScoreCache(%d, %d) did not panic", shape[0], shape[1])
+				}
+			}()
+			NewScoreCache(shape[0], shape[1])
+		}()
 	}
 }

@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"slices"
 	"sort"
 
 	"spreadnshare/internal/core"
@@ -149,7 +148,7 @@ type Search struct {
 		ids   []int
 		slots []int
 		heap  []scoredNode
-		pairs []scoredNode
+		pairs []cacheEntry
 	}
 
 	// runs maps a per-node core count to a run of that value, the
@@ -436,7 +435,7 @@ func (s *Search) findDemandCached(n int, d core.Demand) []int {
 		//lint:allocfree closure does not escape walk; the runtime alloc gate verifies stack allocation
 		c.walk(f, s.Idx, func(id int32, sc float64) bool {
 			if s.fits(int(id), d) {
-				all = append(all, scoredNode{id: int(id), score: sc})
+				all = append(all, cacheEntry{score: sc, id: id})
 			}
 			return s.NoGrouping || len(all)-start < n
 		})
@@ -445,7 +444,7 @@ func (s *Search) findDemandCached(n int, d core.Demand) []int {
 			//lint:allocfree result slice is the caller's product, not reusable scratch
 			out := make([]int, n)
 			for i := range out {
-				out[i] = all[start+i].id
+				out[i] = int(all[start+i].id)
 			}
 			return out
 		}
@@ -460,25 +459,17 @@ func (s *Search) findDemandCached(n int, d core.Demand) []int {
 
 // takeIdlest is the cached-path fallback selection: sort the feasible
 // (score, id) pairs by the selectIdlest total order and keep the first
-// n. Sorting scratch in place is safe — the pairs are consumed here.
+// n. The pairs are the concatenation of one sorted walk per bucket, so
+// sortRuns merges at most cores+1 runs. Sorting scratch in place is safe
+// — the pairs are consumed here.
 //
 //sns:hotpath
-func (s *Search) takeIdlest(pairs []scoredNode, n int) []int {
-	//lint:allocfree slices.SortFunc is an in-place pdqsort over scratch; the non-escaping comparator stays on the stack
-	slices.SortFunc(pairs, func(a, b scoredNode) int {
-		//lint:floateq exact tie detection so the (score, id) order stays total
-		if a.score != b.score {
-			if a.score < b.score {
-				return -1
-			}
-			return 1
-		}
-		return a.id - b.id
-	})
+func (s *Search) takeIdlest(pairs []cacheEntry, n int) []int {
+	sortRuns(pairs, &s.Cache.sortBuf)
 	//lint:allocfree result slice is the caller's product, not reusable scratch
 	out := make([]int, n)
 	for i := range out {
-		out[i] = pairs[i].id
+		out[i] = int(pairs[i].id)
 	}
 	return out
 }

@@ -29,17 +29,31 @@ func TestStandingQueueReplayDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	queued := 0
+	for _, j := range res.Jobs {
+		if j.Wait() > 0 {
+			queued++
+		}
+	}
+	// The digest only pins the standing-queue regime while there is one.
+	if queued < len(res.Jobs)/2 {
+		t.Fatalf("only %d of %d jobs ever waited: the replay no longer holds a standing queue", queued, len(res.Jobs))
+	}
+	if got := replayDigest(res); got != goldenStandingQueue {
+		t.Errorf("standing-queue replay digest = %s, want %s", got, goldenStandingQueue)
+	}
+}
+
+// replayDigest hashes every job's start, finish, scale and node list in
+// trace order.
+func replayDigest(res *Result) string {
 	h := fnv.New64a()
 	word := func(x uint64) {
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], x)
 		h.Write(buf[:])
 	}
-	queued := 0
 	for _, j := range res.Jobs {
-		if j.Wait() > 0 {
-			queued++
-		}
 		word(math.Float64bits(j.Start))
 		word(math.Float64bits(j.Finish))
 		word(uint64(j.Scale))
@@ -48,11 +62,42 @@ func TestStandingQueueReplayDigest(t *testing.T) {
 			word(uint64(n))
 		}
 	}
-	// The digest only pins the standing-queue regime while there is one.
-	if queued < len(res.Jobs)/2 {
-		t.Fatalf("only %d of %d jobs ever waited: the replay no longer holds a standing queue", queued, len(res.Jobs))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// goldenWideSpan is the same digest over the replay below, captured on
+// the kernel whose flush still sorted its dirty stack and its pending
+// adds with pdqsort and refiled every drained node. The order-aware
+// flush only changes how the same (score, id) sequences are produced, so
+// it must reproduce it exactly.
+const goldenWideSpan = "e73cebba620c8402"
+
+// TestWideSpanReplayDigest replays a quarter of a fig20_sns benchmark
+// input — 176 jobs of up to 4,096 nodes over 47.5 hours onto 32,768
+// nodes under SNS, never queued — so the node lists it pins were chosen
+// by flushes that drain thousands of dirty nodes into a few buckets: the
+// regime no other test in the suite reaches.
+func TestWideSpanReplayDigest(t *testing.T) {
+	db, node := traceDB(t)
+	jobs := Synthesize(42, GenConfig{Jobs: 176, SpanHours: 47.5, MaxNodes: 4096})
+	MapPrograms(42, jobs, []string{"MG", "BW"}, []string{"HC", "EP"}, 0.9)
+	res, err := Simulate(jobs, db, node, DefaultSimConfig(32768, SNS))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenStandingQueue {
-		t.Errorf("standing-queue replay digest = %s, want %s", got, goldenStandingQueue)
+	wide, slots := 0, 0
+	for _, j := range res.Jobs {
+		if len(j.Nodes) >= 1024 {
+			wide++
+		}
+		slots += len(j.Nodes)
+	}
+	t.Logf("%d of %d jobs on >= 1,024 nodes, %d node-slots", wide, len(res.Jobs), slots)
+	// The digest only pins wide flushes while the replay places wide jobs.
+	if wide < 64 {
+		t.Fatalf("only %d of %d jobs landed on >= 1,024 nodes: the replay went narrow", wide, len(res.Jobs))
+	}
+	if got := replayDigest(res); got != goldenWideSpan {
+		t.Errorf("wide-span replay digest = %s, want %s", got, goldenWideSpan)
 	}
 }
