@@ -158,7 +158,7 @@ func main() {
 		fmt.Println("\nactuation plans:")
 		for _, p := range s.LaunchPlans() {
 			fmt.Printf("job %-3d %-4s cores %-12s mask %s  %s\n",
-				p.JobID, p.Program, p.Cores, p.WayMask, p.Command)
+				p.JobID, p.Program, p.Cores, p.WayMask, p.Command())
 		}
 	}
 	if *gantt {

@@ -160,6 +160,9 @@ type Model struct {
 	h float64
 	// refWays is the node's full way count the curves normalize to.
 	refWays float64
+	// missRef is missShape(refWays), the denominator of every MissRel;
+	// Calibrate stores it and zero means not calibrated.
+	missRef float64
 }
 
 // mm is the raw saturation curve w/(w+h).
@@ -214,12 +217,19 @@ func (m *Model) IPC(effWays float64, activeCores, totalCores int) float64 {
 	return m.IPCMax * m.IPCRel(effWays) / m.loadFactor(activeCores, totalCores)
 }
 
-// MissRel is the LLC miss rate relative to the full-way reference.
+// missShape is the unnormalized miss-rate curve: a compulsory floor plus
+// a capacity component that halves every WHalf ways.
+func (m *Model) missShape(w float64) float64 {
+	return m.MissFloorFrac + (1-m.MissFloorFrac)*math.Pow(2, -w/m.WHalf)
+}
+
+// MissRel is the LLC miss rate relative to the full-way reference. It
+// panics on a model Calibrate has not seen, whose reference is unset.
 func (m *Model) MissRel(effWays float64, spread bool) float64 {
-	shape := func(w float64) float64 {
-		return m.MissFloorFrac + (1-m.MissFloorFrac)*math.Pow(2, -w/m.WHalf)
+	if m.missRef == 0 {
+		panic("app: MissRel on an uncalibrated Model")
 	}
-	rel := shape(effWays) / shape(m.refWays)
+	rel := m.missShape(effWays) / m.missRef
 	if spread && m.SpreadMissBoost > 0 {
 		rel *= m.SpreadMissBoost
 	}
@@ -267,6 +277,11 @@ func (m *Model) WorkPerProcess(n int) float64 {
 // (normally by the catalog) before any other method.
 func (m *Model) Calibrate(spec hw.NodeSpec) error {
 	m.refWays = float64(spec.LLCWays)
+	m.missRef = m.missShape(m.refWays)
+	if !(m.missRef > 0) {
+		return fmt.Errorf("app: %s: miss curve has no positive full-way reference (MissFloorFrac %g, WHalf %g)",
+			m.Name, m.MissFloorFrac, m.WHalf)
+	}
 	if m.SpreadMissBoost == 0 {
 		m.SpreadMissBoost = 1
 	}

@@ -196,6 +196,39 @@ func TestCalibrateRejectsUnreachableTarget(t *testing.T) {
 	}
 }
 
+// TestUncalibratedModelFailsLoudly pins the two ways a model without a
+// miss-curve reference is stopped: MissRel divides by a constant Calibrate
+// stores, so a model Calibrate never saw panics instead of returning
+// +Inf, and a model whose curve has no positive reference is refused by
+// Calibrate itself.
+func TestUncalibratedModelFailsLoudly(t *testing.T) {
+	raw := &Model{
+		Name: "raw", IPCMax: 1, FloorFrac: 0.5, LeastWays90: 4,
+		BWPerCoreRef: 1, MissPctRef: 10, MissFloorFrac: 0.5, WHalf: 5,
+		TargetSoloSec: 100,
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("MissRel on a model Calibrate never saw returned instead of panicking")
+			}
+		}()
+		raw.MissRel(8, false)
+	}()
+	if err := raw.Calibrate(hw.DefaultNodeSpec()); err != nil {
+		t.Fatalf("Calibrate: %v", err)
+	}
+	if rel := raw.MissRel(hw.DefaultNodeSpec().LLCWays.Float64(), false); rel != 1 {
+		t.Errorf("calibrated MissRel at full ways = %g, want 1", rel)
+	}
+
+	flat := *raw
+	flat.Name, flat.MissFloorFrac, flat.WHalf, flat.missRef = "flat", 0, 0, 0
+	if err := flat.Calibrate(hw.DefaultNodeSpec()); err == nil {
+		t.Error("Calibrate accepted a miss curve whose full-way reference is zero")
+	}
+}
+
 // Property: IPC never increases with node load and never decreases with
 // cache, for every program.
 func TestIPCProperties(t *testing.T) {

@@ -11,6 +11,7 @@ package daemon
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"spreadnshare/internal/app"
@@ -21,20 +22,28 @@ import (
 // CoreSet is an ordered list of core ids bound to one job.
 type CoreSet []int
 
-// String renders the set in Linux cpuset list syntax ("0-3,14-17").
+// String renders the set in Linux cpuset list syntax ("0-3,14-17"). A
+// daemon's own bindings are ascending; any other order is sorted in a copy.
 func (c CoreSet) String() string {
 	if len(c) == 0 {
 		return ""
 	}
-	s := append([]int(nil), c...)
-	sort.Ints(s)
-	var parts []string
+	s := []int(c)
+	if !sort.IntsAreSorted(s) {
+		s = append([]int(nil), c...)
+		sort.Ints(s)
+	}
+	var arr [64]byte
+	buf := arr[:0]
 	start, prev := s[0], s[0]
 	flush := func() {
-		if start == prev {
-			parts = append(parts, fmt.Sprint(start))
-		} else {
-			parts = append(parts, fmt.Sprintf("%d-%d", start, prev))
+		if len(buf) > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(start), 10)
+		if start != prev {
+			buf = append(buf, '-')
+			buf = strconv.AppendInt(buf, int64(prev), 10)
 		}
 	}
 	for _, id := range s[1:] {
@@ -46,7 +55,7 @@ func (c CoreSet) String() string {
 		start, prev = id, id
 	}
 	flush()
-	return strings.Join(parts, ",")
+	return string(buf)
 }
 
 // LaunchPlan is the concrete actuation of one job on one node.
@@ -59,8 +68,18 @@ type LaunchPlan struct {
 	WayMask hw.WayMask
 	// BWCapGB is the MBA throttle in GB/s (0 when uncapped).
 	BWCapGB float64
-	// Command is the framework-specific node-local launch line.
-	Command string
+	// prog is the program model Command renders the launch line from.
+	prog *app.Model
+}
+
+// Command renders the framework-specific node-local launch line. It is
+// built when asked for, from the plan's own binding: a simulated run
+// issues thousands of plans and reads the line of none of them.
+func (p LaunchPlan) Command() string {
+	if p.prog == nil {
+		return ""
+	}
+	return launchCommand(p.prog, p.Cores)
 }
 
 // Daemon is one node's actuator state.
@@ -102,56 +121,68 @@ func (d *Daemon) Bound(jobID int) (CoreSet, bool) {
 
 // pickCores selects `n` free cores balanced across the two sockets (cores
 // [0, half) are socket 0, [half, Cores) socket 1), matching how the paper
-// runs 16-process jobs as 8 per socket. Odd remainders go to the socket
-// with more free cores.
+// runs 16-process jobs as 8 per socket. An odd core goes to socket 1, or
+// to socket 0 when socket 1 has more cores free; what a socket cannot
+// supply spills to the other. The set comes out ascending.
 func (d *Daemon) pickCores(n int) (CoreSet, error) {
-	if n > d.FreeCores() {
-		return nil, fmt.Errorf("daemon: node %d: %d cores requested, %d free",
-			d.NodeID, n, d.FreeCores())
-	}
 	half := d.spec.Cores.Int() / 2
-	var free0, free1 []int
+	free0, free1 := 0, 0
 	for id, b := range d.busy {
 		if b {
 			continue
 		}
 		if id < half {
-			free0 = append(free0, id)
+			free0++
 		} else {
-			free1 = append(free1, id)
+			free1++
 		}
+	}
+	if n > free0+free1 {
+		return nil, fmt.Errorf("daemon: node %d: %d cores requested, %d free",
+			d.NodeID, n, free0+free1)
 	}
 	take0 := n / 2
 	take1 := n - take0
-	if len(free1) > len(free0) {
+	if free1 > free0 {
 		take0, take1 = take1, take0
 	}
-	if take0 > len(free0) {
-		take1 += take0 - len(free0)
-		take0 = len(free0)
+	if take0 > free0 {
+		take1 += take0 - free0
+		take0 = free0
 	}
-	if take1 > len(free1) {
-		take0 += take1 - len(free1)
-		take1 = len(free1)
+	if take1 > free1 {
+		take0 += take1 - free1
+		take1 = free1
 	}
-	picked := append(append(CoreSet{}, free0[:take0]...), free1[:take1]...)
-	sort.Ints(picked)
+	picked := make(CoreSet, 0, n)
+	for id := 0; take0 > 0; id++ {
+		if !d.busy[id] {
+			picked = append(picked, id)
+			take0--
+		}
+	}
+	for id := half; take1 > 0; id++ {
+		if !d.busy[id] {
+			picked = append(picked, id)
+			take1--
+		}
+	}
 	return picked, nil
 }
 
-// Actuate binds cores, programs the CAT mask, and builds the launch
-// command for one job's share of this node. Pass ways 0 for unmanaged
-// cache and bwCap 0 for no MBA throttle.
-func (d *Daemon) Actuate(jobID int, prog *app.Model, cores, ways int, bwCap float64) (*LaunchPlan, error) {
+// Actuate binds cores and programs the CAT mask for one job's share of
+// this node; the returned plan renders the launch command on demand. Pass
+// ways 0 for unmanaged cache and bwCap 0 for no MBA throttle.
+func (d *Daemon) Actuate(jobID int, prog *app.Model, cores, ways int, bwCap float64) (LaunchPlan, error) {
 	if _, ok := d.bound[jobID]; ok {
-		return nil, fmt.Errorf("daemon: node %d: job %d already actuated", d.NodeID, jobID)
+		return LaunchPlan{}, fmt.Errorf("daemon: node %d: job %d already actuated", d.NodeID, jobID)
 	}
 	if cores <= 0 {
-		return nil, fmt.Errorf("daemon: node %d: job %d requested %d cores", d.NodeID, jobID, cores)
+		return LaunchPlan{}, fmt.Errorf("daemon: node %d: job %d requested %d cores", d.NodeID, jobID, cores)
 	}
 	set, err := d.pickCores(cores)
 	if err != nil {
-		return nil, err
+		return LaunchPlan{}, err
 	}
 	var mask hw.WayMask
 	if ways > 0 {
@@ -164,20 +195,20 @@ func (d *Daemon) Actuate(jobID int, prog *app.Model, cores, ways int, bwCap floa
 			mask, err = d.ways.Allocate(jobID, w)
 		}
 		if err != nil {
-			return nil, err
+			return LaunchPlan{}, err
 		}
 	}
 	for _, id := range set {
 		d.busy[id] = true
 	}
 	d.bound[jobID] = set
-	return &LaunchPlan{
+	return LaunchPlan{
 		JobID:   jobID,
 		Program: prog.Name,
 		Cores:   set,
 		WayMask: mask,
 		BWCapGB: bwCap,
-		Command: launchCommand(prog, set),
+		prog:    prog,
 	}, nil
 }
 

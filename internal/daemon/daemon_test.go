@@ -1,12 +1,14 @@
 package daemon
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"spreadnshare/internal/app"
 	"spreadnshare/internal/hw"
+	"spreadnshare/internal/units"
 )
 
 func testCatalog(t *testing.T) *app.Catalog {
@@ -28,11 +30,45 @@ func TestCoreSetString(t *testing.T) {
 		{CoreSet{0, 1, 2, 3}, "0-3"},
 		{CoreSet{0, 2, 3, 7}, "0,2-3,7"},
 		{CoreSet{14, 15, 0, 1}, "0-1,14-15"}, // unsorted input
+		{CoreSet{127, 9, 11, 10, 126, 99}, "9-11,99,126-127"},
 	}
 	for _, c := range cases {
+		before := append(CoreSet(nil), c.set...)
 		if got := c.set.String(); got != c.want {
-			t.Errorf("CoreSet%v = %q, want %q", c.set, got, c.want)
+			t.Errorf("CoreSet%v = %q, want %q", before, got, c.want)
 		}
+		// An unsorted set is sorted in a copy, never in place: a
+		// LaunchPlan's Cores is the daemon's own binding.
+		for i := range before {
+			if c.set[i] != before[i] {
+				t.Fatalf("String reordered its receiver: %v, was %v", c.set, before)
+			}
+		}
+	}
+}
+
+// TestActuateAllocs is the allocation gate on actuation: a warm Actuate +
+// Release cycle allocates the core set the daemon binds and nothing else
+// worth counting — no free lists, no launch line.
+func TestActuateAllocs(t *testing.T) {
+	cat := testCatalog(t)
+	mg, _ := cat.Lookup("MG")
+	d := New(0, hw.DefaultNodeSpec())
+	if _, err := d.Actuate(1, mg, 6, 2, 0); err != nil { // a resident neighbour
+		t.Fatal(err)
+	}
+	cycle := func() {
+		plan, err := d.Actuate(2, mg, 9, 4, 0)
+		if err != nil || len(plan.Cores) != 9 {
+			t.Fatalf("Actuate = %+v, %v", plan, err)
+		}
+		if err := d.Release(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 2 {
+		t.Errorf("a warm Actuate+Release cycle allocates %.1f objects, want at most 2", allocs)
 	}
 }
 
@@ -172,9 +208,10 @@ func TestLaunchCommandsPerFramework(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.prog, err)
 		}
+		cmd := plan.Command()
 		for _, frag := range c.want {
-			if !strings.Contains(plan.Command, frag) {
-				t.Errorf("%s command %q missing %q", c.prog, plan.Command, frag)
+			if !strings.Contains(cmd, frag) {
+				t.Errorf("%s command %q missing %q", c.prog, cmd, frag)
 			}
 		}
 		if err := d.Release(10 + i); err != nil {
@@ -229,6 +266,71 @@ func TestDaemonInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPickCoresMatchesFreeListReference holds pickCores to the body it
+// replaced — two free lists, a split, a concatenation, a sort — on every
+// request size over random occupancies, odd core counts included.
+func TestPickCoresMatchesFreeListReference(t *testing.T) {
+	reference := func(d *Daemon, n int) CoreSet {
+		half := d.spec.Cores.Int() / 2
+		var free0, free1 []int
+		for id, b := range d.busy {
+			if b {
+				continue
+			}
+			if id < half {
+				free0 = append(free0, id)
+			} else {
+				free1 = append(free1, id)
+			}
+		}
+		if n > len(free0)+len(free1) {
+			return nil
+		}
+		take0 := n / 2
+		take1 := n - take0
+		if len(free1) > len(free0) {
+			take0, take1 = take1, take0
+		}
+		if take0 > len(free0) {
+			take1 += take0 - len(free0)
+			take0 = len(free0)
+		}
+		if take1 > len(free1) {
+			take0 += take1 - len(free1)
+			take1 = len(free1)
+		}
+		picked := append(append(CoreSet{}, free0[:take0]...), free1[:take1]...)
+		sort.Ints(picked)
+		return picked
+	}
+	for _, cores := range []int{28, 7} {
+		spec := hw.DefaultNodeSpec()
+		spec.Cores = units.CoresOf(cores)
+		f := func(occupancy uint32) bool {
+			d := New(0, spec)
+			for id := range d.busy {
+				d.busy[id] = occupancy>>id&1 == 1
+			}
+			for n := 1; n <= cores; n++ {
+				want := reference(d, n)
+				got, err := d.pickCores(n)
+				if (err != nil) != (want == nil) || len(got) != len(want) {
+					return false
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+			t.Errorf("%d-core node: %v", cores, err)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func ExampleDaemon_Actuate() {
 	}
 	fmt.Println("cores:", plan.Cores)
 	fmt.Println("mask: ", plan.WayMask)
-	fmt.Println("cmd:  ", plan.Command)
+	fmt.Println("cmd:  ", plan.Command())
 	// Output:
 	// cores: 0-3,14-17
 	// mask:  0x0000f

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"spreadnshare/internal/invariant"
 	"spreadnshare/internal/sched"
 )
 
@@ -348,6 +349,28 @@ func TestSequenceExperimentsShape(t *testing.T) {
 	}
 	if worstCS <= worstSNS {
 		t.Errorf("CS worst slowdown %.2f not above SNS %.2f", worstCS, worstSNS)
+	}
+}
+
+// TestSequenceStudyMallocs is the end-to-end allocation gate on the
+// testbed study: one 20-job sequence through CE, CS and SNS — three
+// schedulers, their daemons and engines, sixty jobs — in at most 2,400
+// heap objects. Sequence 0 read 8,030 when every placement attempt
+// formatted its profile key, sorted its scale ladder and built a core
+// vector per rung, and every actuation built two free lists and a launch
+// line; 1,667 since. A count, not a clock. The auditor is paused because it
+// re-derives what the run memoises, allocating as it goes.
+func TestSequenceStudyMallocs(t *testing.T) {
+	e := env(t)
+	defer invariant.Pause()()
+	study := func() {
+		if _, err := runOneSequenceStudy(e, 0, SeqJobs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	study() // measures the CE baselines the later runs read from cache
+	if allocs := testing.AllocsPerRun(5, study); allocs > 2400 {
+		t.Errorf("a %d-job sequence study allocates %.0f objects, want at most 2400", SeqJobs, allocs)
 	}
 }
 

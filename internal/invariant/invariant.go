@@ -258,7 +258,10 @@ func (a *Auditor) CheckSimState(s *placement.SimState) {
 // entry, no more nodes able to host its demand than the failed walk
 // counted plus the node-slots released since — so a mutation that frees
 // capacity without moving the backend's release counter fails here, not
-// in a digest. A search with neither passes vacuously.
+// in a digest. The scale ladders: every memoised (profile, alpha) ladder
+// equal to one resolved from its profile now, so a profile edited after a
+// request carried it fails here too. A search with none of the three
+// passes vacuously.
 func (a *Auditor) CheckScoreCache(s *placement.Search) {
 	if s == nil {
 		return
@@ -269,6 +272,9 @@ func (a *Auditor) CheckScoreCache(s *placement.Search) {
 		}
 	}
 	if err := s.AuditFailures(); err != nil {
+		a.failf("%v", err)
+	}
+	if err := s.AuditLadders(); err != nil {
 		a.failf("%v", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"spreadnshare/internal/exec"
 	"spreadnshare/internal/hw"
 	"spreadnshare/internal/placement"
+	"spreadnshare/internal/profiler"
 )
 
 // mustPanic asserts fn dies with an "invariant:" message containing
@@ -112,6 +113,40 @@ func TestCheckScoreCacheCatchesUncountedRelease(t *testing.T) {
 
 	s.Reserve(1, placement.Reservation{Cores: -held.Cores, Ways: -held.Ways})
 	mustPanic(t, "node-slots were released since", func() { a.CheckScoreCache(search) })
+}
+
+// TestCheckScoreCacheCatchesEditedProfile breaks the ladder memo's
+// contract on purpose — a profile edited in place after a request carried
+// it, where the profiler would have stored a new one. The search keeps
+// trying the scales in the order the profile used to give; the auditor is
+// what says so.
+func TestCheckScoreCacheCatchesEditedProfile(t *testing.T) {
+	spec := hw.DefaultNodeSpec()
+	s := placement.NewSimState(spec, 8)
+	search := &placement.Search{View: s, Idx: s.Index(), Spec: spec, Nodes: 8, MaxScale: 8}
+	curve := make([]float64, spec.LLCWays.Int()+1)
+	for w := 1; w < len(curve); w++ {
+		curve[w] = 1
+	}
+	prof := &profiler.Profile{Program: "X", Procs: 16, Class: profiler.Scaling}
+	for _, k := range []int{1, 2, 4} {
+		prof.Scales = append(prof.Scales, profiler.ScaleProfile{
+			K: k, Nodes: k, CoresPerNode: 16 / k, TimeSec: 100 / float64(k),
+			IPCByWay: curve, BWByWay: curve,
+		})
+	}
+	req := placement.Request{Procs: 16, BaseNodes: 1, MultiNode: true, Alpha: 0.9, Profile: prof}
+	if pl := search.Place(placement.SNS, req); pl == nil || pl.K != 4 {
+		t.Fatalf("plan = %+v, want the fastest profiled scale K=4", pl)
+	}
+	a := New("t")
+	a.CheckScoreCache(search) // an untouched profile must pass
+
+	prof.Scales[0].TimeSec = 1 // K=1 is now the fastest scale
+	if pl := search.Place(placement.SNS, req); pl == nil || pl.K != 4 {
+		t.Fatalf("plan after the edit = %+v; the memo was expected to hold the stale order", pl)
+	}
+	mustPanic(t, "profile changed after its ladder was resolved", func() { a.CheckScoreCache(search) })
 }
 
 func TestCheckIndexAgreement(t *testing.T) {

@@ -256,8 +256,9 @@ func TestConcurrencyAnnotationCoverage(t *testing.T) {
 
 // TestHotpathCoverage pins the allocfree pass to the runtime zero-alloc
 // gates: every function those gates exercise (engine recompute, the
-// water-filling kernel, the sim queue ops, the placement search) must be
-// reachable from a //sns:hotpath root and therefore statically analyzed.
+// water-filling kernel, the sim queue ops, the placement search and the
+// attempt around it) must be reachable from a //sns:hotpath root and
+// therefore statically analyzed.
 func TestHotpathCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide lint needs go list + full type-checking")
@@ -286,6 +287,10 @@ func TestHotpathCoverage(t *testing.T) {
 		"(*spreadnshare/internal/placement.Search).takeIdlest",
 		"(*spreadnshare/internal/placement.Search).score",
 		"(*spreadnshare/internal/placement.Search).fits",
+		"(*spreadnshare/internal/placement.Search).placeSNS",
+		"(*spreadnshare/internal/placement.Search).placeCS",
+		"(*spreadnshare/internal/placement.Search).ascendFree",
+		"(*spreadnshare/internal/placement.Search).ladder",
 		"(*spreadnshare/internal/placement.ScoreCache).Invalidate",
 		"(*spreadnshare/internal/placement.ScoreCache).InvalidateSpan",
 		"(*spreadnshare/internal/placement.ScoreCache).flush",

@@ -1,8 +1,6 @@
 package placement
 
 import (
-	"sort"
-
 	"spreadnshare/internal/core"
 	"spreadnshare/internal/hw"
 	"spreadnshare/internal/profiler"
@@ -49,6 +47,18 @@ func (r *Request) runnable(n int) bool {
 	return ScaleRunnable(r.Procs, n, r.MultiNode, r.PowerOf2)
 }
 
+// firstShare returns the largest per-node core count of the request over
+// an n-node footprint — EvenSplit(Procs, n)[0] by arithmetic for a
+// process-based request, the scaled slice width for a footprint-based
+// one. A rung sizes its core and memory demand from it; the vector is
+// built only by the rung that places (coresAt).
+func (r *Request) firstShare(n int) int {
+	if r.Procs > 0 {
+		return (r.Procs + n - 1) / n
+	}
+	return (r.CoresPerNode*r.BaseNodes + n - 1) / n
+}
+
 // Plan is a policy's placement decision: which nodes, how many cores on
 // each, and the uniform way/bandwidth reservations to attach.
 type Plan struct {
@@ -89,6 +99,7 @@ func EvenSplit(procs, n int) []int {
 	if n <= 0 || procs <= 0 {
 		return nil
 	}
+	//lint:allocfree a plan's core vector is the caller's product; only the rung that places asks for one
 	out := make([]int, n)
 	base, rem := procs/n, procs%n
 	for i := range out {
@@ -103,8 +114,9 @@ func EvenSplit(procs, n int) []int {
 // Search runs the placement policies over one cluster backend. The
 // backend supplies capacity reads (View) and the synchronized free-core
 // index (Idx); between calls the Search keeps only reusable buffers,
-// constant tables and bounds left by failed walks that hold whatever the
-// cluster does next (failed.go) — never a copy of cluster state.
+// constant tables (core runs, the scale ladders its profiles resolve to)
+// and bounds left by failed walks that hold whatever the cluster does next
+// (failed.go) — never a copy of cluster state.
 //
 // Determinism rules (the golden figure digests depend on them):
 //
@@ -143,7 +155,9 @@ type Search struct {
 
 	// scratch buffers candidate ids and scores across calls. A Search
 	// serves one scheduling loop, so reuse is safe; both selection
-	// helpers copy their results out before returning.
+	// helpers copy their results out before returning. ids serves the
+	// from-scratch FindDemand and ascendFree, which never runs inside it
+	// (CS placement makes no demand walk).
 	scratch struct {
 		ids   []int
 		slots []int
@@ -159,6 +173,11 @@ type Search struct {
 	// like the scratch above, never snapshotted — an empty table only
 	// means the next failing walk is made instead of skipped.
 	failed []failBound
+
+	// ladders memoises each (profile, alpha) pair's SNS trial order and
+	// per-rung demand (ladder.go): derived from the profile alone, so
+	// like the runs above it holds nothing of the cluster or the request.
+	ladders map[ladderKey][]rung
 }
 
 // scoredNode pairs a candidate with its selection score.
@@ -200,7 +219,9 @@ func (s *Search) Idle(n int) []int {
 	if n <= 0 || s.Idx.Count(s.Spec.Cores.Int()) < n {
 		return nil
 	}
+	//lint:allocfree result slice is the caller's product, made only once n idle nodes are known to exist
 	out := make([]int, 0, n)
+	//lint:allocfree closure does not escape Scan; the runtime alloc gate verifies stack allocation
 	s.Idx.Scan(s.Spec.Cores.Int(), func(id int) bool {
 		out = append(out, id)
 		return len(out) < n
@@ -223,6 +244,8 @@ func (s *Search) placeCE(req Request) *Plan {
 // first and growing the footprint only when compact placement is
 // impossible. Candidates are taken fullest-first (tightest bucket first,
 // id order within) to keep placement compact.
+//
+//sns:hotpath
 func (s *Search) placeCS(req Request) *Plan {
 	for k := 1; k <= s.MaxScale; k++ {
 		n := k * req.BaseNodes
@@ -232,39 +255,49 @@ func (s *Search) placeCS(req Request) *Plan {
 		if !req.runnable(n) {
 			continue
 		}
-		cores := s.coresAt(&req, n)
-		mem := float64(cores[0]) * req.MemGBPerProc
-		nodes := s.ascendFree(cores[0], n, mem)
+		share := req.firstShare(n)
+		mem := float64(share) * req.MemGBPerProc
+		nodes := s.ascendFree(share, n, mem)
 		if nodes == nil {
 			continue
 		}
-		return &Plan{Nodes: nodes, Cores: cores, K: k}
+		//lint:allocfree the plan is the caller's product, built once by the rung that places
+		return &Plan{Nodes: nodes, Cores: s.coresAt(&req, n), K: k}
 	}
 	return nil
 }
 
 // ascendFree collects n nodes with at least minFree cores and mem GB
-// free, fullest buckets first, or nil if fewer qualify.
+// free, fullest buckets first, or nil if fewer qualify. Candidates
+// gather in scratch; only a full set is copied out.
+//
+//sns:hotpath
 func (s *Search) ascendFree(minFree, n int, mem float64) []int {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]int, 0, n)
-	for f := minFree; f <= s.Spec.Cores.Int(); f++ {
+	ids := s.scratch.ids[:0]
+	for f := minFree; f <= s.Spec.Cores.Int() && len(ids) < n; f++ {
 		if s.Idx.Count(f) == 0 {
 			continue
 		}
-		stopped := !s.Idx.Scan(f, func(id int) bool {
+		//lint:allocfree closure does not escape Scan; the runtime alloc gate verifies stack allocation
+		s.Idx.Scan(f, func(id int) bool {
 			if s.View.FreeMem(id) >= mem {
-				out = append(out, id)
+				//lint:allocfree scratch append; capacity is stable after warm-up
+				ids = append(ids, id)
 			}
-			return len(out) < n
+			return len(ids) < n
 		})
-		if stopped {
-			return out
-		}
 	}
-	return nil
+	s.scratch.ids = ids
+	if len(ids) < n {
+		return nil
+	}
+	//lint:allocfree result slice is the caller's product, not reusable scratch
+	out := make([]int, n)
+	copy(out, ids)
+	return out
 }
 
 // placeSNS implements the Figure 11 process: walk the profiled scale
@@ -273,22 +306,21 @@ func (s *Search) ascendFree(minFree, n int, mem float64) []int {
 // first fit. Scaling-class programs chase their fastest profiled
 // footprint; neutral and compact programs are spread only passively —
 // they stay at their minimum footprint unless resources force a larger
-// one (Section 6.1: neutral jobs are "fillers").
+// one (Section 6.1: neutral jobs are "fillers"). Order and estimates come
+// resolved from the ladder memo; what depends on the request or the
+// cluster — MaxScale, the footprint, runnability, the search — is decided
+// here, per attempt.
+//
+//sns:hotpath
 func (s *Search) placeSNS(req Request) *Plan {
-	prof := req.Profile
-	if prof == nil {
+	if req.Profile == nil {
 		return s.placeCS(req)
 	}
-	scales := prof.ByPerformance()
-	if prof.Class != profiler.Scaling {
-		// ByPerformance hands out a fresh slice, so it is re-sorted in place.
-		sort.Slice(scales, func(a, b int) bool { return scales[a].K < scales[b].K })
-	}
-	for _, sp := range scales {
-		if sp.K > s.MaxScale {
+	for _, r := range s.ladder(req.Profile, req.Alpha) {
+		if r.k > s.MaxScale {
 			continue
 		}
-		n := sp.K * req.BaseNodes
+		n := r.k * req.BaseNodes
 		if n > s.Nodes || !req.runnable(n) {
 			continue
 		}
@@ -297,22 +329,26 @@ func (s *Search) placeSNS(req Request) *Plan {
 			if idle == nil {
 				continue
 			}
-			return &Plan{Nodes: idle, Cores: s.coresAt(&req, n), Exclusive: true, K: sp.K}
+			//lint:allocfree the plan is the caller's product, built once by the rung that places
+			return &Plan{Nodes: idle, Cores: s.coresAt(&req, n), Exclusive: true, K: r.k}
 		}
-		d := core.EstimateDemand(sp, req.Alpha, s.Spec)
-		var cores []int
+		d := r.d
 		if req.Procs > 0 {
-			cores = EvenSplit(req.Procs, n)
-			d.Cores = cores[0]
-			d.MemGB = float64(cores[0]) * req.MemGBPerProc
-		} else {
-			cores = s.repeated(d.Cores, n)
+			d.Cores = req.firstShare(n)
+			d.MemGB = float64(d.Cores) * req.MemGBPerProc
 		}
 		nodes := s.FindDemand(n, d)
 		if nodes == nil {
 			continue
 		}
-		return &Plan{Nodes: nodes, Cores: cores, Ways: d.Ways, BW: d.BW, IOBW: d.IOBW, K: sp.K}
+		var cores []int
+		if req.Procs > 0 {
+			cores = EvenSplit(req.Procs, n)
+		} else {
+			cores = s.repeated(d.Cores, n)
+		}
+		//lint:allocfree the plan is the caller's product, built once by the rung that places
+		return &Plan{Nodes: nodes, Cores: cores, Ways: d.Ways, BW: d.BW, IOBW: d.IOBW, K: r.k}
 	}
 	return nil
 }
@@ -320,11 +356,12 @@ func (s *Search) placeSNS(req Request) *Plan {
 // coresAt returns the per-node core counts of req over an n-node
 // footprint: a fresh EvenSplit for a process-based request, a shared
 // read-only run of the per-node slice width for a footprint-based one.
+// Only a rung that has its nodes calls it.
 func (s *Search) coresAt(req *Request, n int) []int {
 	if req.Procs > 0 {
 		return EvenSplit(req.Procs, n)
 	}
-	return s.repeated((req.CoresPerNode*req.BaseNodes+n-1)/n, n)
+	return s.repeated(req.firstShare(n), n)
 }
 
 // repeated returns n copies of v as a view of the Search's run of that
@@ -334,13 +371,16 @@ func (s *Search) coresAt(req *Request, n int) []int {
 func (s *Search) repeated(v, n int) []int {
 	run := s.runs[v]
 	if len(run) < n {
+		//lint:allocfree warm-up: a run grows only when a wider footprint than any before it places
 		run = make([]int, max(n, 2*len(run)))
 		for i := range run {
 			run[i] = v
 		}
 		if s.runs == nil {
+			//lint:allocfree once per Search
 			s.runs = make(map[int][]int)
 		}
+		//lint:allocfree warm-up: one entry per distinct per-node core count
 		s.runs[v] = run
 	}
 	return run[:n:n]

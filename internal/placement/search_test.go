@@ -298,3 +298,56 @@ func TestFootprintCoresAreSharedAndStable(t *testing.T) {
 		t.Errorf("process-based plans share a core vector: %+v %+v", a, b)
 	}
 }
+
+// TestFailedPlaceAllocs is the allocation gate on an attempt. On a cluster
+// where every node has cores free but neither the memory nor the ways any
+// rung asks for, Place walks the whole scale ladder under every policy,
+// for both request shapes, and returns nil having allocated nothing: the
+// ladder is memoised, a rung sizes its demand by arithmetic and collects
+// candidates in scratch. A Place that succeeds allocates what it hands
+// over and no more — a node list, a core vector, the plan.
+func TestFailedPlaceAllocs(t *testing.T) {
+	st, s := newTestSearch(8)
+	s.Cache = NewScoreCache(8, s.Spec.Cores.Int())
+	st.SetOnChange(s.Cache.Invalidate)
+	for id := 0; id < 8; id++ {
+		reserve(st, id, 4, 19, 10, st.Spec().MemoryGB-1) // 24 cores, 1 way and 1 GB left
+	}
+	prof := flatProfile(1, 2, 4)
+	shapes := map[string]Request{
+		"process":   {Procs: 16, BaseNodes: 1, MemGBPerProc: 1, MultiNode: true, Alpha: 0.9, Profile: prof},
+		"footprint": {BaseNodes: 1, CoresPerNode: 16, MemGBPerProc: 1, MultiNode: true, Alpha: 0.9, Profile: prof},
+	}
+	for name, req := range shapes {
+		for _, p := range []Policy{CE, CS, SNS} {
+			if pl := s.Place(p, req); pl != nil { // the warm call
+				t.Fatalf("%s %s: placed %+v on a cluster with no room", p, name, pl)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if s.Place(p, req) != nil {
+					t.Fatal("placed on a cluster with no room")
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s %s: a failed Place allocates %.1f objects, want 0", p, name, allocs)
+			}
+		}
+	}
+
+	_, s = newTestSearch(8)
+	s.Cache = NewScoreCache(8, s.Spec.Cores.Int())
+	req := shapes["process"]
+	for _, p := range []Policy{CE, CS, SNS} {
+		if pl := s.Place(p, req); pl == nil {
+			t.Fatalf("%s: not placed on an idle cluster", p)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if s.Place(p, req) == nil {
+				t.Fatal("not placed on an idle cluster")
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("%s: a successful process-based Place allocates %.1f objects, want at most 3 (node list, core vector, plan)", p, allocs)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 )
 
 // Class is the scaling classification of Section 4.2.
@@ -165,9 +166,16 @@ type DB struct {
 // NewDB returns an empty database.
 func NewDB() *DB { return &DB{Profiles: make(map[string]*Profile)} }
 
-// Get returns the profile for a program/procs pair.
+// Get returns the profile for a program/procs pair. The scheduler asks on
+// every placement attempt, so the key is spelled into a stack buffer —
+// byte for byte what Key formats — and the lookup's string conversion
+// does not allocate.
 func (db *DB) Get(program string, procs int) (*Profile, bool) {
-	p, ok := db.Profiles[Key(program, procs)]
+	var buf [64]byte
+	k := append(buf[:0], program...)
+	k = append(k, '/')
+	k = strconv.AppendInt(k, int64(procs), 10)
+	p, ok := db.Profiles[string(k)]
 	return p, ok
 }
 

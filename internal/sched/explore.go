@@ -54,16 +54,16 @@ func (s *Scheduler) AttachExplorer(ex *profiler.Explorer, sampleWays []int, epis
 }
 
 // placeTrial attempts to place an unprofiled job as its program's next
-// exploration trial: exclusive nodes at the trial scale. It returns nil
-// (with trial=false) when exploration is over or the scale cannot run,
-// letting the caller fall back; it returns nil with trial=true when the
-// trial placement simply does not fit right now.
-func (s *Scheduler) placeTrial(j *exec.Job) (pl *decision, trial bool) {
+// exploration trial: exclusive nodes at the trial scale. It returns
+// trial=false when exploration is over or the scale cannot run, letting
+// the caller fall back; trial=true with ok=false when the trial placement
+// simply does not fit right now.
+func (s *Scheduler) placeTrial(j *exec.Job) (d decision, ok, trial bool) {
 	st := s.explore
 	for {
-		k, ok := st.ex.NextTrial(j.Prog.Name, j.Procs)
-		if !ok {
-			return nil, false
+		k, more := st.ex.NextTrial(j.Prog.Name, j.Procs)
+		if !more {
+			return decision{}, false, false
 		}
 		n := k * s.minFootprint(j.Procs)
 		if n > s.spec.Nodes || !scaleRunnable(j.Prog, j.Procs, n) {
@@ -72,14 +72,14 @@ func (s *Scheduler) placeTrial(j *exec.Job) (pl *decision, trial bool) {
 		}
 		idle := s.cl.IdleNodes()
 		if len(idle) < n {
-			return nil, true
+			return decision{}, false, true
 		}
-		return &decision{
+		return decision{
 			nodes:     idle[:n],
 			cores:     exec.EvenSplit(j.Procs, n),
 			exclusive: true,
 			trialK:    k,
-		}, true
+		}, true, true
 	}
 }
 

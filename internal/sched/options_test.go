@@ -212,7 +212,7 @@ func TestLaunchPlansRecorded(t *testing.T) {
 			t.Errorf("plan mask %v has %d ways, job allocated %d",
 				p.WayMask, p.WayMask.Count(), j.Ways)
 		}
-		if p.Command == "" {
+		if p.Command() == "" {
 			t.Error("plan has no launch command")
 		}
 	}

@@ -144,6 +144,10 @@ type Scheduler struct {
 	explore *explorerState
 	daemons []*daemon.Daemon
 	plans   []daemon.LaunchPlan
+	// allocs is tryPlace's per-node allocation list, sized for the widest
+	// possible job and reused across attempts: AllocateIO copies each
+	// entry and retains nothing.
+	allocs []cluster.NodeAlloc
 
 	// auditPass, when set, runs the invariant auditor's scheduling-point
 	// checks at the top of every schedule() call.
@@ -229,6 +233,7 @@ func New(spec hw.ClusterSpec, cat *app.Catalog, db *profiler.DB, cfg Config) (*S
 			NoBackfill:     cfg.NoBackfill,
 		},
 		daemons: make([]*daemon.Daemon, spec.Nodes),
+		allocs:  make([]cluster.NodeAlloc, 0, spec.Nodes),
 	}
 	s.search = &placement.Search{
 		View:            clusterView{cl},
@@ -375,19 +380,19 @@ func (s *Scheduler) schedule() {
 // tryPlace attempts to place and launch one job under the configured
 // policy.
 func (s *Scheduler) tryPlace(j *exec.Job) bool {
-	pl := s.place(j)
-	if pl == nil {
+	pl, ok := s.place(j)
+	if !ok {
 		return false
 	}
-	nodeAllocs := make([]cluster.NodeAlloc, len(pl.nodes))
+	s.allocs = s.allocs[:0]
 	for i, n := range pl.nodes {
-		nodeAllocs[i] = cluster.NodeAlloc{
+		s.allocs = append(s.allocs, cluster.NodeAlloc{
 			Node:  n,
 			Cores: pl.cores[i],
 			MemGB: float64(pl.cores[i]) * j.Prog.MemGBPerProc,
-		}
+		})
 	}
-	if err := s.cl.AllocateIO(j.ID, nodeAllocs, pl.ways, pl.bw, pl.ioBW, pl.exclusive); err != nil {
+	if err := s.cl.AllocateIO(j.ID, s.allocs, pl.ways, pl.bw, pl.ioBW, pl.exclusive); err != nil {
 		// Placement search and bookkeeping disagree: a programming
 		// error worth failing loudly on.
 		panic(fmt.Sprintf("sched: placement rejected by bookkeeping: %v", err))
@@ -398,15 +403,15 @@ func (s *Scheduler) tryPlace(j *exec.Job) bool {
 	j.Ways = pl.ways
 	j.BWCap = pl.bwCap
 	j.Exclusive = pl.exclusive
-	// Per-node actuation: bind cores, program CAT and MBA, build the
-	// framework launch line. The daemons double as an independent
-	// consistency check on the placement search.
+	// Per-node actuation: bind cores, program CAT and MBA; the plan
+	// renders the framework launch line when asked. The daemons double as
+	// an independent consistency check on the placement search.
 	for i, n := range pl.nodes {
 		plan, err := s.daemons[n].Actuate(j.ID, j.Prog, pl.cores[i], pl.ways.Int(), pl.bwCap.Float64())
 		if err != nil {
 			panic(fmt.Sprintf("sched: daemon rejected placement: %v", err))
 		}
-		s.plans = append(s.plans, *plan)
+		s.plans = append(s.plans, plan)
 	}
 	if err := s.eng.Launch(j); err != nil {
 		panic(fmt.Sprintf("sched: engine rejected placement: %v", err))
@@ -430,16 +435,17 @@ type decision struct {
 	trialK int
 }
 
-// fromPlan converts a kernel plan.
-func fromPlan(pl *placement.Plan) *decision {
+// fromPlan converts a kernel plan, reporting false when the kernel found
+// no placement.
+func fromPlan(pl *placement.Plan) (decision, bool) {
 	if pl == nil {
-		return nil
+		return decision{}, false
 	}
-	return &decision{
+	return decision{
 		nodes: pl.Nodes, cores: pl.Cores,
 		ways: pl.Ways, bw: pl.BW, ioBW: pl.IOBW,
 		exclusive: pl.Exclusive,
-	}
+	}, true
 }
 
 // minFootprint returns the CE node count for a process count.
@@ -464,8 +470,9 @@ func (s *Scheduler) request(j *exec.Job) placement.Request {
 	}
 }
 
-// place runs the configured policy's kernel search.
-func (s *Scheduler) place(j *exec.Job) *decision {
+// place runs the configured policy's kernel search, reporting false when
+// the job cannot be placed right now.
+func (s *Scheduler) place(j *exec.Job) (decision, bool) {
 	req := s.request(j)
 	switch s.cfg.Policy {
 	case CE, CS:
@@ -476,32 +483,30 @@ func (s *Scheduler) place(j *exec.Job) *decision {
 		req.Intensive = s.bwIntensive(j)
 		return fromPlan(s.search.Place(TwoSlot, req))
 	}
-	return nil
+	return decision{}, false
 }
 
 // placeSNS looks up the job's profile and runs the kernel's demand→scale
 // search (the Figure 11 process). Jobs without a profile fall back to
 // CS-style placement (their first runs double as profiling runs in a
 // production deployment) — or, with piggy-backed profiling attached,
-// become the program's next exploration trial.
-func (s *Scheduler) placeSNS(j *exec.Job, req placement.Request) *decision {
-	prof, ok := s.db.Get(j.Prog.Name, j.Procs)
-	if !ok {
+// become the program's next exploration trial. The database is read on
+// every attempt, so a profile a trial stores mid-run guides the next one.
+func (s *Scheduler) placeSNS(j *exec.Job, req placement.Request) (decision, bool) {
+	prof, profiled := s.db.Get(j.Prog.Name, j.Procs)
+	if !profiled {
 		if s.explore != nil {
-			if pl, trial := s.placeTrial(j); trial {
-				return pl
+			if d, ok, trial := s.placeTrial(j); trial {
+				return d, ok
 			}
 		}
 		return fromPlan(s.search.Place(CS, req))
 	}
 	req.Profile = prof
 	pl := s.search.Place(SNS, req)
-	if pl == nil {
-		return nil
-	}
-	d := fromPlan(pl)
-	if s.cfg.UseMBA && !pl.Exclusive {
+	d, ok := fromPlan(pl)
+	if ok && s.cfg.UseMBA && !pl.Exclusive {
 		d.bwCap = s.spec.Node.MBACap(pl.BW)
 	}
-	return d
+	return d, ok
 }

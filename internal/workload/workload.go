@@ -91,18 +91,24 @@ type CERunTimes struct {
 	cat  *app.Catalog
 
 	mu    sync.Mutex
-	cache map[string]float64
+	cache map[ceKey]float64
+}
+
+// ceKey names one measurement: a program at a process count.
+type ceKey struct {
+	program string
+	procs   int
 }
 
 // NewCERunTimes returns an empty measurement cache.
 func NewCERunTimes(spec hw.ClusterSpec, cat *app.Catalog) *CERunTimes {
-	return &CERunTimes{spec: spec, cat: cat, cache: make(map[string]float64)}
+	return &CERunTimes{spec: spec, cat: cat, cache: make(map[ceKey]float64)}
 }
 
 // Of returns the CE (minimum footprint, exclusive) run time of a program
 // at a process count.
 func (c *CERunTimes) Of(program string, procs int) (float64, error) {
-	key := fmt.Sprintf("%s/%d", program, procs)
+	key := ceKey{program, procs}
 	c.mu.Lock()
 	t, ok := c.cache[key]
 	c.mu.Unlock()
