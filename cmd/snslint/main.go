@@ -1,7 +1,7 @@
 // Command snslint is the determinism, concurrency, and state-integrity
 // multichecker: it runs the internal/lint analysis suite (mapiter,
 // walltime, floateq, unitflow, allocfree, confine, guardedby, goleak,
-// statefield, transition, exhaustive) and fails the build on any
+// statefield, exhaustive) and fails the build on any
 // finding. It is the mechanical form of DESIGN.md's determinism,
 // dimensional, concurrency, and state-integrity rules and runs as part
 // of `make lint` / `make check` / CI.
@@ -16,7 +16,7 @@
 // concurrency and state-integrity passes, and -all forces every matched
 // package through the whole suite. The whole match is type-checked once
 // and shared by all passes; the interprocedural passes (unitflow,
-// allocfree, the concurrency trio, and the state-integrity trio)
+// allocfree, the concurrency trio, and the state-integrity pair)
 // resolve calls and types across it, so run the full module (the
 // default ./...) rather than a subset — analyzing a slice of the module
 // leaves boundary calls unresolvable. After the shared caches are

@@ -532,3 +532,72 @@ func TestWorkConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineLifecycleEdges pins the guards that stand before each write
+// of Job.State: a job launches only from Pending, is cancelled only
+// while Running, and a finish event that finds its job already
+// cancelled does nothing.
+func TestEngineLifecycleEdges(t *testing.T) {
+	cat := catalog(t)
+	spec := hw.DefaultClusterSpec()
+	mg := prog(t, cat, "MG")
+	e, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := map[int]int{}
+	e.OnFinish(func(j *Job) { finished[j.ID]++ })
+	mk := func(id, node int) *Job {
+		return &Job{ID: id, Prog: mg, Procs: 4, Nodes: []int{node}, CoresByNode: []int{4}}
+	}
+	running, done, cancelled, pending := mk(1, 0), mk(2, 1), mk(3, 2), mk(4, 3)
+	for _, j := range []*Job{running, done, cancelled} {
+		if err := e.Launch(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.finish(done)
+	if err := e.Cancel(cancelled.ID); err != nil {
+		t.Fatal(err)
+	}
+	if running.State != Running || done.State != Done || cancelled.State != Cancelled || pending.State != Pending {
+		t.Fatalf("setup: %v %v %v %v", running.State, done.State, cancelled.State, pending.State)
+	}
+
+	// Launch on an engine that has never seen the IDs, so only the
+	// state check stands between a launched job and a second launch.
+	other, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{running, done, cancelled} {
+		state, start := j.State, j.Start
+		if err := other.Launch(j); err == nil {
+			t.Errorf("Launch of a %v job succeeded", state)
+		}
+		if _, known := other.Job(j.ID); known || j.State != state || j.Start != start || other.NodeActiveCores(j.Nodes[0]) != 0 {
+			t.Errorf("refused Launch of a %v job left state %v, start %g, %d active cores",
+				state, j.State, j.Start, other.NodeActiveCores(j.Nodes[0]))
+		}
+	}
+
+	for _, j := range []*Job{pending, done, cancelled} {
+		state, fired := j.State, finished[j.ID]
+		if err := e.Cancel(j.ID); err == nil {
+			t.Errorf("Cancel of a %v job succeeded", state)
+		}
+		if j.State != state || finished[j.ID] != fired {
+			t.Errorf("refused Cancel of a %v job left state %v, OnFinish fired %d more times",
+				state, j.State, finished[j.ID]-fired)
+		}
+	}
+
+	// A finish event already popped when its job is cancelled.
+	e.finish(cancelled)
+	if cancelled.State != Cancelled || finished[cancelled.ID] != 1 {
+		t.Errorf("finish after cancel: state %v, OnFinish fired %d times", cancelled.State, finished[cancelled.ID])
+	}
+	if finished[done.ID] != 1 || finished[running.ID] != 0 {
+		t.Errorf("OnFinish counts: done %d, running %d", finished[done.ID], finished[running.ID])
+	}
+}

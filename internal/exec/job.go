@@ -92,10 +92,8 @@ type Job struct {
 
 	// Start and Finish are set by the engine.
 	Start, Finish float64
-	// State is the lifecycle state; the transition lint pass checks
-	// every write against these edges.
-	//
-	//sns:statemachine Pending>Running,Running>Done,Running>Cancelled
+	// State moves Pending>Running, then Running>Done or >Cancelled; each
+	// Engine write follows a check of the state it leaves.
 	State State
 
 	// remaining is normalized remaining work in [0, 1].

@@ -266,15 +266,7 @@ func (a *Auditor) CheckScoreCache(s *placement.Search) {
 	if s == nil {
 		return
 	}
-	if s.Cache != nil {
-		if err := s.Cache.Audit(s.View, s.Idx, s.Spec, s.ScoreBeta()); err != nil {
-			a.failf("%v", err)
-		}
-	}
-	if err := s.AuditFailures(); err != nil {
-		a.failf("%v", err)
-	}
-	if err := s.AuditLadders(); err != nil {
+	if err := s.Audit(); err != nil {
 		a.failf("%v", err)
 	}
 }

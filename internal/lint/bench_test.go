@@ -49,19 +49,19 @@ func BenchmarkAnalyzeConcurrency(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeState measures the warm cost of the three Wide
-// state-integrity passes (statefield, transition, exhaustive) over
-// every loaded package. Like the concurrency trio, the interprocedural
-// work (the field-flow index, the state-machine proofs) runs once per
-// Program and is cached; a warm analyze is directive matching, the
-// per-package exhaustive switch walk, and cached-finding replay, and
-// must stay well under 100ms on CI hardware.
+// BenchmarkAnalyzeState measures the warm cost of the two Wide
+// state-integrity passes (statefield, exhaustive) over every loaded
+// package. Like the concurrency trio, the interprocedural work (the
+// field-flow index) runs once per Program and is cached; a warm
+// analyze is directive matching, the per-package exhaustive switch
+// walk, and cached-finding replay, and must stay well under 100ms on CI
+// hardware.
 func BenchmarkAnalyzeState(b *testing.B) {
 	prog, err := LoadRepoProgram()
 	if err != nil {
 		b.Fatal(err)
 	}
-	passes := []*Analyzer{Statefield, Transition, Exhaustive}
+	passes := []*Analyzer{Statefield, Exhaustive}
 	prog.Warm()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

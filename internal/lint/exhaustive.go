@@ -2,7 +2,10 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
+	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -120,4 +123,46 @@ func switchCaseConst(info *types.Info, e ast.Expr, key string) (string, bool) {
 		return "", false
 	}
 	return c.Name(), true
+}
+
+// enumConstNames returns the names of every package-level constant of
+// the defined type t, ordered by constant value then name. The scope of
+// the type's own declaring package is authoritative, which keeps the
+// lookup stable across the loader's duplicated type universes.
+func enumConstNames(t types.Type) []string {
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return nil
+	}
+	key := named.Obj().Pkg().Path() + "." + named.Obj().Name()
+	scope := named.Obj().Pkg().Scope()
+	type cv struct {
+		name string
+		val  constant.Value
+	}
+	var consts []cv
+	for _, name := range scope.Names() {
+		c, ok := scope.Lookup(name).(*types.Const)
+		if !ok {
+			continue
+		}
+		if k, ok := namedKey(c.Type()); !ok || k != key {
+			continue
+		}
+		consts = append(consts, cv{name, c.Val()})
+	}
+	sort.SliceStable(consts, func(i, j int) bool {
+		if c := constant.Compare(consts[i].val, token.LSS, consts[j].val); c {
+			return true
+		}
+		if constant.Compare(consts[i].val, token.EQL, consts[j].val) {
+			return consts[i].name < consts[j].name
+		}
+		return false
+	})
+	out := make([]string, len(consts))
+	for i, c := range consts {
+		out[i] = c.name
+	}
+	return out
 }

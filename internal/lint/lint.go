@@ -38,16 +38,11 @@
 //     //sns:derived with the rebuild function reachable from the
 //     restore path, or carry a justified suppression — persistence
 //     gaps (the PR 8 capacity bug) become vet-time findings.
-//   - transition: //sns:statemachine-annotated fields may only be
-//     written where the prior state is a provable predecessor of the
-//     new one along the declared edges (dominating comparison or
-//     switch on the field, or a //sns:transition helper whose call
-//     sites are checked instead).
 //   - exhaustive: switches over //sns:enum types must cover every
 //     declared constant; a default clause that silently swallows
 //     unhandled values is itself a finding.
 //
-// The last eight passes are interprocedural: they run over a Program (all
+// The last seven passes are interprocedural: they run over a Program (all
 // packages type-checked once, with shared cross-package indexes) rather
 // than one package at a time. The concurrency and state-integrity passes
 // additionally run Wide — over every loaded package, because the daemon
@@ -64,7 +59,6 @@
 //	//lint:confine read after <-done: the owner goroutine's exit happens-before
 //	//lint:goleak listener goroutine is process-lifetime by design
 //	//lint:statefield round-local scratch, rebuilt from zero each ScheduleRound
-//	//lint:transition restore re-admits recorded states written by checked transitions
 //	//lint:exhaustive remaining arms unreachable: parser rejects them upstream
 //
 // The justification text is mandatory: a bare directive is itself a
@@ -257,14 +251,14 @@ func Run(a *Analyzer, prog *Program, pkg *Package) []Diagnostic {
 
 // Analyzers returns the full suite in report order: the three
 // determinism passes, the two interprocedural semantic passes, the
-// three concurrency passes, then the three state-integrity passes (the
-// last six are Wide: they run over every loaded package, not just the
+// three concurrency passes, then the two state-integrity passes (the
+// last five are Wide: they run over every loaded package, not just the
 // deterministic set).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Mapiter, Walltime, Floateq, Unitflow, Allocfree,
 		Confine, Guardedby, Goleak,
-		Statefield, Transition, Exhaustive,
+		Statefield, Exhaustive,
 	}
 }
 

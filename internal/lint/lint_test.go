@@ -89,7 +89,6 @@ func TestGuardedbyFixture(t *testing.T) { runFixture(t, Guardedby, "guardedbyfix
 func TestGoleakFixture(t *testing.T)    { runFixture(t, Goleak, "goleakfix") }
 
 func TestStatefieldFixture(t *testing.T) { runFixture(t, Statefield, "statefieldfix") }
-func TestTransitionFixture(t *testing.T) { runFixture(t, Transition, "transitionfix") }
 func TestExhaustiveFixture(t *testing.T) { runFixture(t, Exhaustive, "exhaustivefix") }
 
 // TestStatefieldMutation is the mutation-style pin from the issue: the
@@ -311,10 +310,10 @@ func TestHotpathCoverage(t *testing.T) {
 
 // TestStateAnnotationCoverage pins the real packages' state-integrity
 // annotations, the same way the concurrency coverage test pins the
-// confine/guardedby/goleak anchors: the statefield, transition, and
-// exhaustive passes are annotation-driven, so deleting a //sns:persist,
-// //sns:statemachine, or //sns:enum marker must fail this test instead
-// of silently shrinking what gets linted.
+// confine/guardedby/goleak anchors: the statefield and exhaustive
+// passes are annotation-driven, so deleting a //sns:persist,
+// //sns:derived, or //sns:enum marker must fail this test instead of
+// silently shrinking what gets linted.
 func TestStateAnnotationCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide lint needs go list + full type-checking")
@@ -347,16 +346,6 @@ func TestStateAnnotationCoverage(t *testing.T) {
 	for key, fn := range wantDerived {
 		if got := derived[key]; got != fn {
 			t.Errorf("field %s: derived = %q, want %q (//sns:derived missing or changed)", key, got, fn)
-		}
-	}
-	machines := prog.StateMachines()
-	for _, key := range []string{
-		"spreadnshare/internal/svc.Job.State",
-		"spreadnshare/internal/exec.Job.State",
-		"spreadnshare/internal/svc/api.Op.Status",
-	} {
-		if machines[key] == "" {
-			t.Errorf("field %s has no //sns:statemachine annotation", key)
 		}
 	}
 	enums := map[string]bool{}

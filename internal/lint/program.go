@@ -36,17 +36,15 @@ type Program struct {
 	ownedField map[string]string
 	guarded    map[string]string
 
-	// State-integrity annotations (see statefield.go / transition.go /
-	// exhaustive.go): persist maps //sns:persist-marked live types
-	// ("pkgpath.Name") to their declared mirror pair, derived maps field
-	// keys ("pkgpath.Type.field") to the //sns:derived rebuild function
-	// name, machines maps //sns:statemachine field keys to their edge
-	// declarations, and enums holds the //sns:enum type keys whose
-	// switches must be exhaustive.
-	persist  map[string]*persistPair
-	derived  map[string]string
-	machines map[string]*machineDecl
-	enums    map[string]bool
+	// State-integrity annotations (see statefield.go / exhaustive.go):
+	// persist maps //sns:persist-marked live types ("pkgpath.Name") to
+	// their declared mirror pair, derived maps field keys
+	// ("pkgpath.Type.field") to the //sns:derived rebuild function name,
+	// and enums holds the //sns:enum type keys whose switches must be
+	// exhaustive.
+	persist map[string]*persistPair
+	derived map[string]string
+	enums   map[string]bool
 
 	implMu sync.Mutex
 	impls  map[string][]*SrcFunc // interface-method FullName -> source impls
@@ -63,9 +61,6 @@ type Program struct {
 
 	stateOnce sync.Once
 	stateMap  map[*types.Package][]posFinding
-
-	transOnce sync.Once
-	transMap  map[*types.Package][]posFinding
 }
 
 // SrcFunc is a function declaration paired with the package that holds
@@ -128,7 +123,6 @@ func (pr *Program) index() {
 		pr.guarded = map[string]string{}
 		pr.persist = map[string]*persistPair{}
 		pr.derived = map[string]string{}
-		pr.machines = map[string]*machineDecl{}
 		pr.enums = map[string]bool{}
 		for _, pkg := range pr.Packages {
 			for _, f := range pkg.Files {
@@ -197,17 +191,6 @@ func (pr *Program) index() {
 										pr.derived[typeKey+"."+nm.Name] = args[0]
 									}
 								}
-								if args, ok := markerArgs(fld.Doc, "sns:statemachine"); ok && len(args) == 1 {
-									for _, nm := range fld.Names {
-										pr.machines[typeKey+"."+nm.Name] = &machineDecl{
-											pkg:       pkg,
-											structKey: typeKey,
-											field:     nm.Name,
-											pos:       nm.Pos(),
-											edges:     args[0],
-										}
-									}
-								}
 							}
 						}
 					}
@@ -249,17 +232,6 @@ func (pr *Program) DerivedFields() map[string]string {
 	return pr.derived
 }
 
-// StateMachines returns the //sns:statemachine annotation table: field
-// keys ("pkgpath.Type.field") mapped to the raw edge declaration.
-func (pr *Program) StateMachines() map[string]string {
-	pr.index()
-	out := map[string]string{}
-	for key, m := range pr.machines {
-		out[key] = m.edges
-	}
-	return out
-}
-
 // EnumTypes returns the sorted type keys carrying //sns:enum.
 func (pr *Program) EnumTypes() []string {
 	pr.index()
@@ -281,7 +253,6 @@ func (pr *Program) Warm() {
 	pr.confineFindings()
 	pr.goleakFindings()
 	pr.statefieldFindings()
-	pr.transitionFindings()
 }
 
 // OwnedState returns the //sns:owner annotation tables: confined type

@@ -378,12 +378,7 @@ func (c *ScoreCache) walk(f int, idx *CoreIndex, fn func(id int32, score float64
 	}
 }
 
-// Score returns a node's memoized score. Valid only after a flush; the
-// cached search reads selection scores through it instead of
-// recomputing them per candidate.
-func (c *ScoreCache) Score(id int) float64 { return c.score[id] }
-
-// Audit cross-checks the cache against the live backend: the dirty
+// audit cross-checks the cache against the live backend: the dirty
 // bitset must hold exactly the count kept beside it and no bit past the
 // last node, every clean node's memoized score must bit-equal the
 // canonical expression recomputed over the view, every bucket's base and
@@ -392,9 +387,8 @@ func (c *ScoreCache) Score(id int) float64 { return c.score[id] }
 // that bucket's lists or pending adds — the walk-visibility guarantee
 // searches rely on, and what lets flush keep an unmoved node's entry.
 // Dirty nodes are exempt from the score and membership checks: being
-// stale until the next flush is their contract. The runtime invariant
-// auditor and the fuzz harness call this between mutations.
-func (c *ScoreCache) Audit(view NodeView, idx *CoreIndex, spec hw.NodeSpec, beta float64) error {
+// stale until the next flush is their contract. Search.Audit runs it.
+func (c *ScoreCache) audit(view NodeView, idx *CoreIndex, spec hw.NodeSpec, beta float64) error {
 	pop := 0
 	for _, word := range c.dirty {
 		pop += bits.OnesCount64(word)

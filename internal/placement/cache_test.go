@@ -189,10 +189,12 @@ func (h *cacheHarness) query(t *testing.T, n int, d core.Demand) []int {
 			t.Fatalf("FindDemand(%d, %+v): cached %v != plain %v", n, d, got, want)
 		}
 	}
-	if err := h.cs.Cache.Audit(h.cached, h.cached.Index(), h.spec, h.cs.ScoreBeta()); err != nil {
+	// The pieces, not h.cs.Audit(): count gates wrap h.cs.View, and the
+	// audit's own reads must not land in their counts.
+	if err := h.cs.Cache.audit(h.cached, h.cached.Index(), h.spec, h.cs.beta()); err != nil {
 		t.Fatalf("after FindDemand(%d, %+v): %v", n, d, err)
 	}
-	if err := h.cs.AuditFailures(); err != nil {
+	if err := h.cs.auditFailures(); err != nil {
 		t.Fatalf("after FindDemand(%d, %+v): %v", n, d, err)
 	}
 	return got
@@ -626,7 +628,7 @@ func TestScoreCacheAuditCatchesFiledBucket(t *testing.T) {
 	h.reserve(5, 3, 1, 4)
 	h.query(t, 2, core.Demand{Cores: 2})
 	h.cs.Cache.filed[5]++
-	err := h.cs.Cache.Audit(h.cached, h.cached.Index(), h.spec, h.cs.ScoreBeta())
+	err := h.cs.Audit()
 	if err == nil || !strings.Contains(err.Error(), "clean node 5 filed under bucket") {
 		t.Fatalf("audit of a corrupted filed bucket: %v", err)
 	}
@@ -638,9 +640,7 @@ func TestScoreCacheAuditCatchesFiledBucket(t *testing.T) {
 func TestScoreCacheAuditCatchesDirtyCount(t *testing.T) {
 	h := newCacheHarness(70, false)
 	h.query(t, 2, core.Demand{Cores: 2})
-	audit := func() error {
-		return h.cs.Cache.Audit(h.cached, h.cached.Index(), h.spec, h.cs.ScoreBeta())
-	}
+	audit := h.cs.Audit
 	c := h.cs.Cache
 	c.ndirty++
 	if err := audit(); err == nil || !strings.Contains(err.Error(), "count says 1") {

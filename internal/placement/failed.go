@@ -121,13 +121,12 @@ func (s *Search) rememberFailure(d core.Demand, have int) {
 	s.failed = append(s.failed, fresh)
 }
 
-// AuditFailures cross-checks every remembered failure against the live
+// auditFailures cross-checks every remembered failure against the live
 // backend by recounting the nodes that can host its demand. A count
 // above the entry's limit means some mutation gave capacity back without
 // the backend's release counter moving — after which provenShort would
-// turn away jobs that fit. The runtime invariant auditor and the fuzz
-// harness call this next to ScoreCache.Audit.
-func (s *Search) AuditFailures() error {
+// turn away jobs that fit. Search.Audit runs it.
+func (s *Search) auditFailures() error {
 	released, ok := s.released()
 	if !ok {
 		return nil

@@ -22,7 +22,7 @@ import (
 // carries it. Whoever learns more about a program stores a new Profile (a
 // new pointer, hence a new key) instead of editing the old one — what the
 // profiler, the explorer and the piggy-backed trials already do.
-// AuditLadders re-derives every entry, so an edit in place fails the
+// auditLadders re-derives every entry, so an edit in place fails the
 // invariant auditor instead of a digest.
 
 // maxLadders caps the memo. A testbed run holds one entry per profile; the
@@ -81,12 +81,12 @@ func resolveLadder(prof *profiler.Profile, alpha float64, spec hw.NodeSpec) []ru
 	return lad
 }
 
-// AuditLadders re-derives every memoised ladder from its profile and
+// auditLadders re-derives every memoised ladder from its profile and
 // compares rung for rung. A difference means a profile was edited after a
 // request carried it — after which placeSNS would keep trying the scales,
 // in the order and with the demands, of a profile that no longer exists.
-// The runtime invariant auditor calls this next to AuditFailures.
-func (s *Search) AuditLadders() error {
+// Search.Audit runs it.
+func (s *Search) auditLadders() error {
 	//lint:ordered every entry is checked; order only picks which mismatch is reported
 	for key, lad := range s.ladders {
 		alpha := math.Float64frombits(key.alpha)

@@ -81,7 +81,7 @@ func TestLadderMemoMatchesFresh(t *testing.T) {
 	if got, want := len(s.ladders), 3*len(profs); got != want {
 		t.Errorf("%d ladders memoised, want one per (profile, alpha) = %d", got, want)
 	}
-	if err := s.AuditLadders(); err != nil {
+	if err := s.auditLadders(); err != nil {
 		t.Errorf("audit of untouched profiles: %v", err)
 	}
 }

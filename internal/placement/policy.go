@@ -4,7 +4,7 @@
 // every scale:
 //
 //   - the Policy enum naming the four compared strategies,
-//   - a NodeView/Txn capacity interface over any cluster backend,
+//   - a NodeView capacity interface over any cluster backend,
 //   - an indexed free-core structure replacing O(nodes) linear scans,
 //   - the placement searches (CE, CS, SNS demand→scale, TwoSlot),
 //   - the age-limited priority queue with bounded backfill depth.

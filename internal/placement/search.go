@@ -193,10 +193,22 @@ func (s *Search) beta() float64 {
 	return s.Beta
 }
 
-// ScoreBeta returns the effective LLC-occupancy weight scoring uses (the
-// configured Beta, or the paper default when unset) — what the runtime
-// auditor must recompute cached scores with.
-func (s *Search) ScoreBeta() float64 { return s.beta() }
+// Audit cross-checks every table the search derives from the cluster or
+// from profiles against its source — the score cache if one is set, the
+// remembered failures, the scale ladders — and returns the first
+// violation. The invariant auditor calls it between mutations; a derived
+// table added later registers its check here.
+func (s *Search) Audit() error {
+	if s.Cache != nil {
+		if err := s.Cache.audit(s.View, s.Idx, s.Spec, s.beta()); err != nil {
+			return err
+		}
+	}
+	if err := s.auditFailures(); err != nil {
+		return err
+	}
+	return s.auditLadders()
+}
 
 // Place runs one policy's search. It returns nil when the job cannot be
 // placed right now.

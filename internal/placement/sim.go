@@ -7,10 +7,10 @@ import (
 
 // SimState is the lightweight cluster backend of the large-scale trace
 // simulator: flat per-node capacity arrays plus the kernel's core index,
-// implementing both NodeView and Txn. Unlike the testbed's cluster.State
-// it keeps no per-job bookkeeping — the caller retains the effective
-// Reservations and returns them on release — which is what makes 32K-node
-// replays cheap.
+// implementing NodeView and the Reserve/Release write side. Unlike the
+// testbed's cluster.State it keeps no per-job bookkeeping — the caller
+// retains the effective Reservations and returns them on release — which
+// is what makes 32K-node replays cheap.
 type SimState struct {
 	spec      hw.NodeSpec
 	idx       *CoreIndex
@@ -121,7 +121,7 @@ func (s *SimState) FreeMem(id int) float64 { return s.freeMem[id] }
 // FreeIO returns unreserved file-system bandwidth.
 func (s *SimState) FreeIO(id int) units.GBps { return s.freeIO[id] }
 
-// Txn.
+// Write side.
 
 // Reserve applies a reservation and returns its effective form (an
 // exclusive take resolves to all currently-free cores).

@@ -32,8 +32,8 @@ type NodeView interface {
 	FreeIO(id int) units.GBps
 }
 
-// Reservation is one job's per-node resource take, the write-side unit of
-// a Txn backend.
+// Reservation is one job's per-node resource take, the unit SimState's
+// Reserve and Release apply and undo.
 type Reservation struct {
 	// Cores reserved on the node. For exclusive reservations the
 	// backend takes every free core; Reserve returns the effective
@@ -52,16 +52,4 @@ type Reservation struct {
 	// Intensive marks the owning job as shared-resource intensive for
 	// the TwoSlot policy's one-intensive-job-per-node rule.
 	Intensive bool
-}
-
-// Txn is the write side of a lightweight cluster backend: apply and undo
-// one node's share of a placement. Backends with their own transactional
-// bookkeeping (cluster.State validates whole placements atomically) need
-// not implement it — they only have to keep the CoreIndex in sync.
-type Txn interface {
-	// Reserve applies r on node id and returns the effective
-	// reservation (exclusive takes resolved to concrete core counts).
-	Reserve(id int, r Reservation) Reservation
-	// Release undoes a reservation previously returned by Reserve.
-	Release(id int, r Reservation)
 }

@@ -111,6 +111,9 @@ func (c *Client) WaitOp(id string) (Op, error) {
 			return op, fmt.Errorf("api: op %s failed: %s", id, op.Error)
 		case OpPending:
 			// Not resolved yet: fall through to the poll sleep.
+		default:
+			// Polling on for a status with no arm would never return.
+			return op, fmt.Errorf("api: op %s has unknown status %q", id, op.Status)
 		}
 		time.Sleep(c.poll())
 	}

@@ -30,10 +30,8 @@ type Op struct {
 	ID string `json:"id"`
 	// Kind is the mutation: "submit" or "cancel".
 	Kind string `json:"kind"`
-	// Status resolves exactly once; the transition lint pass checks
-	// every write against these edges.
-	//
-	//sns:statemachine OpPending>OpDone,OpPending>OpFailed
+	// Status resolves exactly once, OpPending to OpDone or OpFailed:
+	// resolve and load write it only after checking it pending.
 	Status OpStatus `json:"status"`
 	// RequestID echoes the X-Request-Id that created the op.
 	RequestID string `json:"request_id,omitempty"`
@@ -148,16 +146,25 @@ func (t *opTable) all() []Op {
 // the snapshot was taken come back failed: the daemon snapshots only
 // after draining its command queue, so a pending op in a snapshot means
 // the process died before applying it — the client must retry (Submit
-// retries are deduplicated by job name).
-func (t *opTable) load(ops []Op) {
+// retries are deduplicated by job name). The records come from disk, so
+// an empty ID or a status the daemon never writes is an error: a client
+// would poll such an op forever.
+func (t *opTable) load(ops []Op) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	maxSeq := 0
 	for i := range ops {
 		op := ops[i]
-		if op.Status == OpPending {
+		if op.ID == "" {
+			return fmt.Errorf(`op "": record %d has no id`, i)
+		}
+		switch op.Status {
+		case OpPending:
 			op.Status = OpFailed
 			op.Error = "daemon restarted before applying this op; retry"
+		case OpDone, OpFailed:
+		default:
+			return fmt.Errorf("op %q: invalid status %q", op.ID, op.Status)
 		}
 		t.ops[op.ID] = &op
 		if s := opSeq(op.ID); s > maxSeq {
@@ -166,6 +173,7 @@ func (t *opTable) load(ops []Op) {
 	}
 	t.seq = maxSeq
 	t.pending = 0
+	return nil
 }
 
 // opSeq extracts the numeric suffix of an op ID for ordering. A

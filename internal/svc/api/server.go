@@ -187,7 +187,10 @@ func Load(cfg Config, db *profiler.DB) (*Server, error) {
 		core.Close()
 		return nil, err
 	}
-	s.ops.load(snap.Ops)
+	if err := s.ops.load(snap.Ops); err != nil {
+		core.Close()
+		return nil, fmt.Errorf("api: snapshot %w", err)
+	}
 	if snap.NowSec > s.clock.base {
 		s.clock.base = snap.NowSec
 	}

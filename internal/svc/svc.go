@@ -134,10 +134,8 @@ type Job struct {
 	// order, and the queue's deterministic tie-break.
 	ID   int     `json:"id"`
 	Spec JobSpec `json:"spec"`
-	// State moves only along the lifecycle edges below; the transition
-	// lint pass checks every write site.
-	//
-	//sns:statemachine Queued>Running,Running>Done,Running>Cancelled,Queued>Cancelled
+	// State moves only along the edges of the lifecycle table, through
+	// Cluster.step, its one writer.
 	State JobState `json:"state"`
 	// SubmitSec/StartSec/FinishSec are core timestamps (simulated or
 	// virtual seconds). StartSec/FinishSec are zero until placed;

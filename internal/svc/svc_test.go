@@ -184,6 +184,11 @@ func TestCancel(t *testing.T) {
 		t.Fatalf("setup: big=%s queued=%s", big.State, queued.State)
 	}
 
+	// A queued job holds nothing to complete.
+	if err := c.Complete(queued.ID, 1); err == nil {
+		t.Error("complete of queued job succeeded")
+	}
+
 	// Cancel the queued job: it must leave the queue.
 	if err := c.Cancel(queued.ID, 1); err != nil {
 		t.Fatal(err)
@@ -520,5 +525,121 @@ func TestUniformReservationBatching(t *testing.T) {
 		if policy == placement.CE && j.res0.Cores != node.Cores.Int() {
 			t.Fatalf("CE prototype takes %d cores of %d", j.res0.Cores, node.Cores.Int())
 		}
+	}
+}
+
+// TestLifecycleEdges runs the job state machine instead of proving it:
+// one job is driven into each state, each operation is applied to it,
+// and the outcome is compared with a table written out here — not read
+// from lifecycle, so an edge added there without a decision here fails.
+// A refused operation must leave the job, the per-state counts, the
+// queue and the cluster's free capacity exactly as they were.
+func TestLifecycleEdges(t *testing.T) {
+	const (
+		opRound = iota
+		opComplete
+		opCancel
+	)
+	opNames := [3]string{"ScheduleRound", "Complete", "Cancel"}
+	type outcome struct {
+		to      JobState
+		refused bool
+	}
+	want := [4][3]outcome{
+		Queued:    {{Running, false}, {Queued, true}, {Cancelled, false}},
+		Running:   {{Running, true}, {Done, false}, {Cancelled, false}},
+		Done:      {{Done, true}, {Done, true}, {Done, true}},
+		Cancelled: {{Cancelled, true}, {Cancelled, true}, {Cancelled, true}},
+	}
+	for from := Queued; from <= Cancelled; from++ {
+		for op, w := range want[from] {
+			c, db, _ := testCore(t, placement.SNS, 8)
+			model := PolicyRuntime(placement.SNS, c.Config().Node)
+			j, err := c.Submit(spec(db, "MG", 4, 100), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch from {
+			case Running, Done:
+				c.ScheduleRound(0, model)
+				if from == Done {
+					err = c.Complete(j.ID, 1)
+				}
+			case Cancelled:
+				err = c.Cancel(j.ID, 1)
+			}
+			if err != nil || j.State != from {
+				t.Fatalf("driving a job to %s: state %s, err %v", from, j.State, err)
+			}
+			if op == opRound && from != Queued {
+				// A stale queue entry is the only way a round meets a
+				// job that is not queued; the round must pass it over.
+				c.pending.Push(j.ID, j.SubmitSec, j.Spec.Priority, j.ID)
+			}
+			stats, queued, free := c.Stats(), c.QueuedLen(), c.MaxFreeCores()
+
+			switch op {
+			case opRound:
+				placed := c.ScheduleRound(2, model)
+				if w.refused != (len(placed) == 0) {
+					t.Errorf("%s job, ScheduleRound: placed %d jobs, refused want %v", from, len(placed), w.refused)
+				}
+			case opComplete:
+				err = c.Complete(j.ID, 2)
+			case opCancel:
+				err = c.Cancel(j.ID, 2)
+			}
+			if op != opRound && w.refused != (err != nil) {
+				t.Errorf("%s job, %s: err = %v, refused want %v", from, opNames[op], err, w.refused)
+			}
+			if j.State != w.to {
+				t.Errorf("%s job, %s: state %s, want %s", from, opNames[op], j.State, w.to)
+			}
+			if !w.refused {
+				continue
+			}
+			if got := c.Stats(); got != stats {
+				t.Errorf("%s job, refused %s moved the counts: %+v -> %+v", from, opNames[op], stats, got)
+			}
+			if got := c.QueuedLen(); got != queued {
+				t.Errorf("%s job, refused %s moved the queue: %d -> %d", from, opNames[op], queued, got)
+			}
+			if got := c.MaxFreeCores(); got != free {
+				t.Errorf("%s job, refused %s moved free cores: %d -> %d", from, opNames[op], free, got)
+			}
+		}
+	}
+
+	// step itself: the four edges above are the only cells it accepts.
+	legal := map[[2]JobState]bool{
+		{Queued, Running}: true, {Queued, Cancelled}: true,
+		{Running, Done}: true, {Running, Cancelled}: true,
+	}
+	c, _, _ := testCore(t, placement.SNS, 8)
+	refusals := 0
+	for from := Queued; from <= Cancelled; from++ {
+		for to := Queued; to <= Cancelled; to++ {
+			if legal[[2]JobState{from, to}] {
+				continue
+			}
+			refusals++
+			j := &Job{ID: 7, State: from}
+			counts := c.counts
+			func() {
+				defer func() {
+					msg := "svc: job 7: illegal transition " + from.String() + " -> " + to.String()
+					if r := recover(); r != msg {
+						t.Errorf("step %s -> %s: recovered %v, want panic %q", from, to, r, msg)
+					}
+				}()
+				c.step(j, to)
+			}()
+			if j.State != from || c.counts != counts {
+				t.Errorf("refused step %s -> %s moved state to %s, counts %v -> %v", from, to, j.State, counts, c.counts)
+			}
+		}
+	}
+	if refusals != 12 {
+		t.Errorf("checked %d non-edges, want 12", refusals)
 	}
 }
