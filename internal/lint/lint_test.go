@@ -255,9 +255,9 @@ func TestConcurrencyAnnotationCoverage(t *testing.T) {
 
 // TestHotpathCoverage pins the allocfree pass to the runtime zero-alloc
 // gates: every function those gates exercise (engine recompute, the
-// water-filling kernel, the sim queue ops, the placement search and the
-// attempt around it) must be reachable from a //sns:hotpath root and
-// therefore statically analyzed.
+// water-filling kernel, the sim queue ops, the placement search, the
+// attempt around it and the span mutations) must be reachable from a
+// //sns:hotpath root and therefore statically analyzed.
 func TestHotpathCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide lint needs go list + full type-checking")
@@ -297,6 +297,9 @@ func TestHotpathCoverage(t *testing.T) {
 		"(*spreadnshare/internal/placement.ScoreCache).fold",
 		"(*spreadnshare/internal/placement.ScoreCache).walk",
 		"spreadnshare/internal/placement.sortRuns",
+		"(*spreadnshare/internal/placement.CoreIndex).UpdateSpan",
+		"(*spreadnshare/internal/placement.SimState).ReserveSpan",
+		"(*spreadnshare/internal/placement.SimState).ReleaseSpan",
 	}
 	for _, name := range required {
 		if !covered[name] {

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -32,7 +33,7 @@ type cacheHarness struct {
 	cs     *Search // searches through cs.Cache
 	ps     *Search // rescoring from scratch
 	held   [][]Reservation
-	spans  []heldSpan
+	spans  [][]heldSpan // each live span reservation, as its runs
 }
 
 // tableFree shows a backend through NodeView alone. The embedded
@@ -40,7 +41,8 @@ type cacheHarness struct {
 // over it finds no release counter and keeps no remembered failures.
 type tableFree struct{ NodeView }
 
-// heldSpan is one live uniform span reservation awaiting its release.
+// heldSpan is one live uniform span reservation awaiting its release,
+// or one run of equal cores of an uneven one.
 type heldSpan struct {
 	ids []int
 	r   Reservation
@@ -110,10 +112,16 @@ func (h *cacheHarness) release(id int) {
 	h.plain.Release(id, r)
 }
 
-// spanReserve applies one uniform reservation across a strided span of
-// distinct nodes, clamped to the span's tightest free capacities so
-// neither backend can underflow: the cached cluster takes it as one
-// ReserveSpan, the plain cluster as one Reserve per node.
+// spanReserve applies one reservation across a strided span of nodes,
+// clamped to the span's tightest free capacities so neither backend can
+// underflow. Ways, bandwidth, file-system bandwidth and memory each come
+// out zero on some steps, so the span path's skip of untouched
+// dimensions is checked against per-node writes. Every third step is
+// TwoSlot-shaped: whole runs of nodes take the full count and others
+// the remainder, and the cached cluster takes it as one ReserveSpan per
+// run of equal cores, as svc reserves an uneven plan. Otherwise it takes
+// it as one ReserveSpan. The plain cluster always takes one Reserve per
+// node.
 func (h *cacheHarness) spanReserve(i int, op byte) {
 	width := 2 + int(op>>3)%15
 	if width > h.nodes {
@@ -128,33 +136,63 @@ func (h *cacheHarness) spanReserve(i int, op byte) {
 	cores := 1 + int(op>>5)
 	ways := int(op>>2) & 3
 	bw := int(op>>4) % 20
+	io := i % 3
+	mem := float64(i%4) * 1.5
 	for _, id := range ids {
 		cores = min(cores, h.cached.Index().Free(id))
 		ways = min(ways, int(h.cached.FreeWays(id)))
 		bw = min(bw, int(h.cached.FreeBW(id)))
+		io = min(io, int(h.cached.FreeIO(id)))
+		mem = min(mem, h.cached.FreeMem(id))
 	}
 	if cores <= 0 {
 		return
 	}
-	r := Reservation{Cores: cores, Ways: units.Ways(ways), BW: units.GBps(bw), Intensive: op&0x80 != 0}
-	h.cached.ReserveSpan(ids, r)
-	for _, id := range ids {
-		h.plain.Reserve(id, r)
+	r := Reservation{
+		Cores: cores, Ways: units.Ways(ways), BW: units.GBps(bw), IOBW: units.GBps(io), MemGB: mem,
+		Intensive: op&0x80 != 0,
 	}
-	h.spans = append(h.spans, heldSpan{ids, r})
+	var runs []heldSpan
+	if i%3 == 0 {
+		// Runs of one to three nodes alternate between the full count
+		// and the remainder; the last run always takes the remainder.
+		rem := r
+		rem.Cores = (cores + 1) / 2
+		for lo := 0; lo < width; {
+			hi := min(width, lo+1+(lo+i)%3)
+			run := heldSpan{ids[lo:hi], r}
+			if len(runs)%2 == 1 || hi == width {
+				run.r = rem
+			}
+			runs = append(runs, run)
+			lo = hi
+		}
+	} else {
+		runs = []heldSpan{{ids, r}}
+	}
+	for _, run := range runs {
+		h.cached.ReserveSpan(run.ids, run.r)
+		for _, id := range run.ids {
+			h.plain.Reserve(id, run.r)
+		}
+	}
+	h.spans = append(h.spans, runs)
 }
 
-// spanRelease undoes the most recent live span, if any.
+// spanRelease undoes the most recent live span reservation, if any, run
+// by run.
 func (h *cacheHarness) spanRelease() {
 	n := len(h.spans)
 	if n == 0 {
 		return
 	}
-	sp := h.spans[n-1]
+	runs := h.spans[n-1]
 	h.spans = h.spans[:n-1]
-	h.cached.ReleaseSpan(sp.ids, sp.r)
-	for _, id := range sp.ids {
-		h.plain.Release(id, sp.r)
+	for _, run := range runs {
+		h.cached.ReleaseSpan(run.ids, run.r)
+		for _, id := range run.ids {
+			h.plain.Release(id, run.r)
+		}
 	}
 }
 
@@ -163,11 +201,11 @@ func (h *cacheHarness) spanRelease() {
 func (h *cacheHarness) sameState(t *testing.T) {
 	t.Helper()
 	c, p := h.cached, h.plain
+	bitsEq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for id := 0; id < h.nodes; id++ {
-		//lint:floateq the span contract is bit-identical state, so only exact equality is correct
 		if c.Index().Free(id) != p.Index().Free(id) || c.FreeWays(id) != p.FreeWays(id) ||
-			c.FreeBW(id) != p.FreeBW(id) || c.FreeMem(id) != p.FreeMem(id) ||
-			c.FreeIO(id) != p.FreeIO(id) || c.IntensiveCount(id) != p.IntensiveCount(id) {
+			!bitsEq(c.FreeBW(id).Float64(), p.FreeBW(id).Float64()) || !bitsEq(c.FreeMem(id), p.FreeMem(id)) ||
+			!bitsEq(c.FreeIO(id).Float64(), p.FreeIO(id).Float64()) || c.IntensiveCount(id) != p.IntensiveCount(id) {
 			t.Fatalf("node %d: span-mutated state diverged from per-node state", id)
 		}
 	}

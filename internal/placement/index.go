@@ -20,9 +20,9 @@ import (
 // Invariants: every node id lives in exactly one bucket; bucket f holds
 // precisely the nodes whose backend reports f free cores (exclusively
 // held nodes index as 0); counts[f] equals the population of bucket f.
-// The backend must call Update after every reservation change — a stale
-// index makes the searches silently wrong, so Update panics on
-// out-of-range values rather than clamping.
+// The backend must call Update or UpdateSpan after every reservation
+// change — a stale index makes the searches silently wrong, so both
+// panic on out-of-range values rather than clamping.
 type CoreIndex struct {
 	cores   int
 	words   int
@@ -93,6 +93,42 @@ func (x *CoreIndex) Update(id, free int) {
 	x.counts[old]--
 	x.counts[free]++
 	x.free[id] = free
+}
+
+// UpdateSpan moves every node in ids by delta free cores, leaving the
+// index exactly as Update(id, Free(id)+delta) called for each id in
+// order would. A run of consecutive ids that share a bitset word and
+// leave the same bucket moves as one mask: one clear, one set and one
+// population count. A repeated id ends its run, because its first move
+// already changed the bucket it leaves.
+//
+//sns:hotpath
+func (x *CoreIndex) UpdateSpan(ids []int, delta int) {
+	for i := 0; i < len(ids); {
+		id := ids[i]
+		old := x.free[id]
+		free := old + delta
+		if free < 0 || free > x.cores {
+			//lint:allocfree Sprintf runs only on the invariant-violation panic path, never on a completed update
+			panic(fmt.Sprintf("placement: node %d free cores %d outside [0, %d]", id, free, x.cores))
+		}
+		w := id >> 6
+		mask := uint64(1) << (uint(id) & 63)
+		x.free[id] = free
+		for i++; i < len(ids); i++ {
+			id = ids[i]
+			if id>>6 != w || x.free[id] != old {
+				break
+			}
+			mask |= 1 << (uint(id) & 63)
+			x.free[id] = free
+		}
+		x.buckets[old][w] &^= mask
+		x.buckets[free][w] |= mask
+		n := bits.OnesCount64(mask)
+		x.counts[old] -= n
+		x.counts[free] += n
+	}
 }
 
 // Scan visits the nodes with exactly `free` free cores in ascending id

@@ -1,6 +1,11 @@
 package placement
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func TestCoreIndexUpdateAndScan(t *testing.T) {
 	x := NewCoreIndex(100, 28)
@@ -53,6 +58,170 @@ func TestCoreIndexPanicsOnBadUpdate(t *testing.T) {
 		}
 	}()
 	x.Update(1, 9)
+}
+
+// updateSpanBoth applies one span to x by UpdateSpan and to ref by the
+// per-node Update loop UpdateSpan stands for, and fails unless both
+// panic with the same message or neither does, and the two indexes are
+// left identical word for word either way. It reports whether they
+// panicked.
+func updateSpanBoth(t *testing.T, x, ref *CoreIndex, ids []int, delta int) bool {
+	t.Helper()
+	got := panicMessage(func() { x.UpdateSpan(ids, delta) })
+	want := panicMessage(func() {
+		for _, id := range ids {
+			ref.Update(id, ref.Free(id)+delta)
+		}
+	})
+	if got != want {
+		t.Fatalf("UpdateSpan(%v, %d) panicked with %q, the Update loop with %q", ids, delta, got, want)
+	}
+	if !slices.Equal(x.free, ref.free) || !slices.Equal(x.counts, ref.counts) {
+		t.Fatalf("UpdateSpan(%v, %d): free or counts diverged from the Update loop", ids, delta)
+	}
+	for f := range x.buckets {
+		if !slices.Equal(x.buckets[f], ref.buckets[f]) {
+			t.Fatalf("UpdateSpan(%v, %d): bucket %d words diverged from the Update loop", ids, delta, f)
+		}
+	}
+	return got != ""
+}
+
+// panicMessage runs fn and returns what it panicked with, or "" if it
+// returned.
+func panicMessage(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
+}
+
+// TestCoreIndexUpdateSpanMatchesUpdate drives UpdateSpan against the
+// per-node Update loop over node counts that are not multiples of 64,
+// with id lists that are sorted within a word, unsorted, cross-word and
+// repeated, and deltas of both signs, including ones that leave the
+// range part way through a span.
+func TestCoreIndexUpdateSpanMatchesUpdate(t *testing.T) {
+	const cores = 28
+	shapes := []struct {
+		name string
+		ids  func(rng *rand.Rand, n int) []int
+	}{
+		{"sorted", func(rng *rand.Rand, n int) []int {
+			lo := rng.Intn(n)
+			return seq(lo, min(n, lo+1+rng.Intn(150)))
+		}},
+		{"unsorted", func(rng *rand.Rand, n int) []int {
+			return rng.Perm(n)[:1+rng.Intn(n)]
+		}},
+		{"descending", func(rng *rand.Rand, n int) []int {
+			ids := seq(0, n)
+			slices.Reverse(ids)
+			return ids
+		}},
+		{"repeats", func(rng *rand.Rand, n int) []int {
+			ids := seq(0, n)
+			return append(ids, ids[rng.Intn(n):]...)
+		}},
+		{"clustered", func(rng *rand.Rand, n int) []int {
+			ids := make([]int, 1+rng.Intn(3*n))
+			id := rng.Intn(n)
+			for k := range ids {
+				if rng.Intn(8) == 0 {
+					id = rng.Intn(n)
+				} else {
+					id = (id + rng.Intn(3) + n - 1) % n // -1, 0 or +1
+				}
+				ids[k] = id
+			}
+			return ids
+		}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	finished, panicked := 0, 0
+	for _, n := range []int{1, 5, 63, 65, 130, 200, 1000} {
+		for _, shape := range shapes {
+			for trial := 0; trial < 20; trial++ {
+				// Odd trials: any occupancy and any delta, so most spans
+				// leave the range part way. Even trials: a small delta
+				// over nodes at least 4 cores from either end, so only an
+				// id repeated three times or more can leave it.
+				lo, hi, delta := 0, cores, rng.Intn(2*cores+1)-cores
+				if trial%2 == 0 {
+					lo, hi, delta = 4, cores-4, rng.Intn(5)-2
+				}
+				x, ref := NewCoreIndex(n, cores), NewCoreIndex(n, cores)
+				for k := 0; k < n; k++ {
+					f := lo + rng.Intn(hi-lo+1)
+					x.Update(k, f)
+					ref.Update(k, f)
+				}
+				ids := shape.ids(rng, n)
+				t.Run(fmt.Sprintf("%d/%s/%d", n, shape.name, trial), func(t *testing.T) {
+					if updateSpanBoth(t, x, ref, ids, delta) {
+						panicked++
+					} else {
+						finished++
+					}
+				})
+			}
+		}
+	}
+	if finished < 100 || panicked < 100 {
+		t.Errorf("%d spans finished and %d left the range: the table no longer exercises both", finished, panicked)
+	}
+	// One panic pinned by value: the repeat of node 3 is what overflows.
+	x, ref := NewCoreIndex(70, 8), NewCoreIndex(70, 8)
+	updateSpanBoth(t, x, ref, []int{2, 3, 4}, -5)
+	got := panicMessage(func() { x.UpdateSpan([]int{1, 3, 66, 3}, -2) })
+	if want := "placement: node 3 free cores -1 outside [0, 8]"; got != want {
+		t.Errorf("UpdateSpan overflow on a repeated node panicked with %q, want %q", got, want)
+	}
+}
+
+// seq returns the ids lo, lo+1, ..., hi-1.
+func seq(lo, hi int) []int {
+	ids := make([]int, 0, hi-lo)
+	for id := lo; id < hi; id++ {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// FuzzIndexUpdateSpan lets the fuzzer hunt for an occupancy, a span and
+// a delta on which UpdateSpan and the per-node Update loop part ways.
+// The first half of ops sets free counts node by node; each byte of the
+// second half is a span id: with its high bit set, a jump to a fresh
+// position, otherwise a step of -1 to +6 from the last id, so spans are
+// dense within words, cross them, go backwards and repeat.
+func FuzzIndexUpdateSpan(f *testing.F) {
+	f.Add(uint16(130), uint8(28), int8(-4), []byte{1, 2, 3, 4, 5, 6, 0x80, 1, 1, 0, 0x8f, 2, 2})
+	f.Add(uint16(65), uint8(8), int8(3), []byte{0, 9, 7, 7, 0xc0, 1, 1, 1, 0, 0})
+	f.Add(uint16(1), uint8(1), int8(-1), []byte{0, 1})
+	f.Fuzz(func(t *testing.T, nodes uint16, cores uint8, delta int8, ops []byte) {
+		n, c := 1+int(nodes)%300, 1+int(cores)%40
+		x, ref := NewCoreIndex(n, c), NewCoreIndex(n, c)
+		half := len(ops) / 2
+		for k := 0; k+1 < half; k += 2 {
+			id, f := int(ops[k])*n/256, int(ops[k+1])%(c+1)
+			x.Update(id, f)
+			ref.Update(id, f)
+		}
+		ids := make([]int, 0, len(ops)-half)
+		id := 0
+		for _, b := range ops[half:] {
+			if b&0x80 != 0 {
+				id = int(b&0x7f) * n / 128
+			} else {
+				id = (id + int(b%8) - 1 + n) % n
+			}
+			ids = append(ids, id)
+		}
+		updateSpanBoth(t, x, ref, ids, int(delta)%(c+1))
+	})
 }
 
 func TestPendingAgingAndOrder(t *testing.T) {

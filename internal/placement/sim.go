@@ -146,45 +146,69 @@ func (s *SimState) Reserve(id int, r Reservation) Reservation {
 // ReserveSpan applies one uniform, non-exclusive reservation prototype
 // to every node in ids — the common SNS/CS footprint shape, where a
 // placement reserves the same amount on thousands of nodes. It batches
-// the whole mutation per event: all capacity arrays are updated first,
-// then the change hook fires once for the span (or per node when only
-// the per-node hook is set; the score cache's Invalidate is O(1) and
-// coalescing, so notification order carries no cost). The resulting
-// state and dirty set are identical to calling Reserve once per node in
-// the same order.
+// the whole mutation per event: the core index moves the span a bitset
+// word at a time, each capacity array the reservation touches is
+// updated in one pass, then the change hook fires once for the span (or
+// per node when only the per-node hook is set; the score cache's
+// Invalidate is O(1) and coalescing, so notification order carries no
+// cost). The resulting state and dirty set are identical to calling
+// Reserve once per node in the same order.
+//
+//sns:hotpath
 func (s *SimState) ReserveSpan(ids []int, r Reservation) {
 	if r.Exclusive {
 		panic("placement: ReserveSpan is for uniform reservations; exclusive takes resolve per node")
 	}
-	for _, id := range ids {
-		s.idx.Update(id, s.idx.Free(id)-r.Cores)
-		s.freeWays[id] -= r.Ways
-		s.freeBW[id] -= r.BW
-		s.freeMem[id] -= r.MemGB
-		s.freeIO[id] -= r.IOBW
-		if r.Intensive {
-			s.intensive[id]++
-		}
-	}
+	s.applySpan(ids, Reservation{
+		Cores: -r.Cores, Ways: -r.Ways, BW: -r.BW, MemGB: -r.MemGB, IOBW: -r.IOBW, Intensive: r.Intensive,
+	}, 1)
 	s.notifySpan(ids)
 }
 
 // ReleaseSpan undoes a uniform reservation applied by ReserveSpan (or by
 // per-node Reserve calls of the same prototype), with the same batched
 // cache notification as ReserveSpan.
+//
+//sns:hotpath
 func (s *SimState) ReleaseSpan(ids []int, r Reservation) {
-	for _, id := range ids {
-		s.idx.Update(id, s.idx.Free(id)+r.Cores)
-		s.freeWays[id] += r.Ways
-		s.freeBW[id] += r.BW
-		s.freeMem[id] += r.MemGB
-		s.freeIO[id] += r.IOBW
-		if r.Intensive {
-			s.intensive[id]--
-		}
-	}
+	s.applySpan(ids, r, -1)
 	s.released += uint64(len(ids))
 	s.notifySpan(ids)
+}
+
+// applySpan adds the signed amounts of d to every node in ids, and
+// jobs to the intensive count when d is intensive, one pass per
+// dimension d moves. A dimension d leaves at zero is not touched, which
+// is bit-identical: the free counters start positive and never become
+// −0, so x ± 0 == x. A reserve hands in its amounts negated, and
+// x + (−y) is x − y exactly.
+func (s *SimState) applySpan(ids []int, d Reservation, jobs int) {
+	s.idx.UpdateSpan(ids, d.Cores)
+	if d.Ways != 0 {
+		for _, id := range ids {
+			s.freeWays[id] += d.Ways
+		}
+	}
+	if d.BW != 0 {
+		for _, id := range ids {
+			s.freeBW[id] += d.BW
+		}
+	}
+	if d.MemGB != 0 {
+		for _, id := range ids {
+			s.freeMem[id] += d.MemGB
+		}
+	}
+	if d.IOBW != 0 {
+		for _, id := range ids {
+			s.freeIO[id] += d.IOBW
+		}
+	}
+	if d.Intensive {
+		for _, id := range ids {
+			s.intensive[id] += jobs
+		}
+	}
 }
 
 // notifySpan feeds one event's whole mutated node set to the change
@@ -192,9 +216,11 @@ func (s *SimState) ReleaseSpan(ids []int, r Reservation) {
 // both are set; the dirty set either leaves behind is identical.
 func (s *SimState) notifySpan(ids []int) {
 	if s.onSpan != nil {
+		//lint:allocfree the span hook is the score cache's InvalidateSpan, itself a hotpath root
 		s.onSpan(ids)
 	} else if s.onChange != nil {
 		for _, id := range ids {
+			//lint:allocfree the per-node hook is the score cache's Invalidate, itself a hotpath root
 			s.onChange(id)
 		}
 	}

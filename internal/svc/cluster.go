@@ -3,6 +3,7 @@ package svc
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"spreadnshare/internal/invariant"
 	"spreadnshare/internal/placement"
@@ -186,8 +187,10 @@ func (c *Cluster) Submit(spec JobSpec, now float64) (*Job, error) {
 	if spec.CoresPerNode <= 0 || spec.CoresPerNode > c.cfg.Node.Cores.Int() {
 		return nil, fmt.Errorf("svc: job wants %d cores per node, nodes have %d", spec.CoresPerNode, c.cfg.Node.Cores.Int())
 	}
-	if spec.RuntimeSec < 0 {
-		return nil, fmt.Errorf("svc: negative runtime %g", spec.RuntimeSec)
+	// Written so NaN fails it too: a NaN or +Inf run time never
+	// finishes and never releases its nodes.
+	if !(spec.RuntimeSec >= 0) || math.IsInf(spec.RuntimeSec, 1) {
+		return nil, fmt.Errorf("svc: runtime %g is not a finite, non-negative number of seconds", spec.RuntimeSec)
 	}
 	j := &Job{
 		ID:        len(c.jobs),
@@ -270,7 +273,9 @@ func (c *Cluster) launch(j *Job, pl *placement.Plan, now float64, model RuntimeM
 	j.res0.Cores, j.cores = c.planCores(pl)
 	j.uniform = j.cores == nil
 	j.Nodes = pl.Nodes
-	c.reserve(j)
+	// One span mutation (and one cache notification) per run of nodes
+	// that take the same cores: the whole node list for a uniform job.
+	j.eachRun(c.state.ReserveSpan)
 	j.StartSec = now
 	j.FinishSec = now + model(j, pl)
 	j.Scale = pl.K
@@ -307,19 +312,6 @@ func (c *Cluster) planCores(pl *placement.Plan) (int, []int) {
 		}
 	}
 	return first, nil
-}
-
-// reserve takes a placed job's resources from the cluster: one span
-// mutation (and one cache notification) for a uniform job, per node
-// otherwise.
-func (c *Cluster) reserve(j *Job) {
-	if j.uniform {
-		c.state.ReserveSpan(j.Nodes, j.res0)
-		return
-	}
-	for i, id := range j.Nodes {
-		c.state.Reserve(id, j.reservation(i))
-	}
 }
 
 // Complete releases a running job's resources and marks it Done. The
@@ -367,13 +359,7 @@ func (c *Cluster) Cancel(id int, now float64) error {
 // release returns a job's reservations to the cluster and drops its
 // core vector: a Done or Cancelled job holds no per-node data.
 func (c *Cluster) release(j *Job) {
-	if j.uniform {
-		c.state.ReleaseSpan(j.Nodes, j.res0)
-		return
-	}
-	for i, id := range j.Nodes {
-		c.state.Release(id, j.reservation(i))
-	}
+	j.eachRun(c.state.ReleaseSpan)
 	j.cores = nil
 }
 

@@ -161,10 +161,11 @@ type Job struct {
 	// CE's dedicated nodes included), and the job mutates state through
 	// one span call. Otherwise cores is the per-node count aligned with
 	// Nodes — the plan's own vector, not a copy (TwoSlot's "full, full,
-	// ..., remainder"). release drops cores, so a finished job keeps no
-	// per-node data beyond its node list; a 32K-node replay takes ~19M
-	// node-slots, and a 48-byte record for each was its dominant
-	// allocation and all of its resident growth.
+	// ..., remainder") — and the job mutates state through one span call
+	// per run of equal counts (eachRun). release drops cores, so a
+	// finished job keeps no per-node data beyond its node list; a
+	// 32K-node replay takes ~19M node-slots, and a 48-byte record for
+	// each was its dominant allocation and all of its resident growth.
 	res0    placement.Reservation
 	uniform bool
 	cores   []int
@@ -177,6 +178,24 @@ func (j *Job) reservation(i int) placement.Reservation {
 		r.Cores = j.cores[i]
 	}
 	return r
+}
+
+// eachRun hands fn every maximal run of consecutive nodes that take the
+// same cores, with the reservation they share: the whole node list of a
+// uniform job, "full, ..., full" then the remainder of a TwoSlot plan.
+func (j *Job) eachRun(fn func(ids []int, r placement.Reservation)) {
+	if j.uniform {
+		fn(j.Nodes, j.res0)
+		return
+	}
+	for lo := 0; lo < len(j.Nodes); {
+		hi := lo + 1
+		for hi < len(j.Nodes) && j.cores[hi] == j.cores[lo] {
+			hi++
+		}
+		fn(j.Nodes[lo:hi], j.reservation(lo))
+		lo = hi
+	}
 }
 
 // Wait returns submit-to-start (only meaningful once placed).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -135,6 +136,9 @@ func TestSubmitValidation(t *testing.T) {
 		spec(db, "MG", 0, 100),   // no nodes
 		spec(db, "MG", 999, 100), // larger than cluster
 		spec(db, "MG", 4, -1),    // negative runtime
+		spec(db, "MG", 4, math.NaN()),
+		spec(db, "MG", 4, math.Inf(1)),
+		spec(db, "MG", 4, math.Inf(-1)),
 		{Program: "MG", BaseNodes: 4, CoresPerNode: 0, RuntimeSec: 1},
 		{Program: "MG", BaseNodes: 4, CoresPerNode: node.Cores.Int() + 1, RuntimeSec: 1},
 	}

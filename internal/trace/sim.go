@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"spreadnshare/internal/hw"
@@ -204,6 +205,14 @@ func simulate(jobs []Job, db *profiler.DB, node hw.NodeSpec, cfg SimConfig, batc
 		if tj.Nodes > cfg.ClusterNodes {
 			return nil, fmt.Errorf("trace: job %d needs %d nodes on a %d-node cluster",
 				tj.ID, tj.Nodes, cfg.ClusterNodes)
+		}
+		// The clock starts at 0 and cannot schedule NaN or ±Inf, and the
+		// core refuses a run time it could never finish.
+		if !(tj.SubmitSec >= 0) || math.IsInf(tj.SubmitSec, 1) {
+			return nil, fmt.Errorf("trace: job %d submits at %g s", tj.ID, tj.SubmitSec)
+		}
+		if !(tj.RuntimeSec >= 0) || math.IsInf(tj.RuntimeSec, 1) {
+			return nil, fmt.Errorf("trace: job %d runs for %g s", tj.ID, tj.RuntimeSec)
 		}
 		var prof *profiler.Profile
 		if cfg.Policy != CE {

@@ -44,6 +44,48 @@ func TestStandingQueueReplayDigest(t *testing.T) {
 	}
 }
 
+// goldenBaseline holds the replay digest of each baseline policy over
+// the replay below, captured while every plan that is not the same on
+// each node still reserved and released node by node. Reserving such a
+// plan as runs of equal cores only batches the same writes, so the
+// kernel must reproduce each digest exactly.
+var goldenBaseline = map[Policy]string{
+	CE:      "ebf15c52d9a18922",
+	CS:      "b5f313c8d6e86128",
+	TwoSlot: "9dda897d1ed0049a",
+}
+
+// TestBaselineReplayDigest replays a fig20_base-shaped input — the
+// Trinity-like generator at ratio 0.9 — under CE, CS and TwoSlot, on a
+// cluster small enough that a queue forms under each: 3,000 jobs of at
+// most 64 nodes in two hours onto 2,048 nodes. It pins the exclusive
+// takes, the shared footprints and TwoSlot's uneven "full, ...,
+// remainder" plans while they compete for freed capacity.
+func TestBaselineReplayDigest(t *testing.T) {
+	db, node := traceDB(t)
+	jobs := Synthesize(42, GenConfig{Jobs: 3000, SpanHours: 2, MaxNodes: 64})
+	MapPrograms(42, jobs, []string{"MG", "BW"}, []string{"HC", "EP"}, 0.9)
+	for _, pol := range []Policy{CE, CS, TwoSlot} {
+		res, err := Simulate(jobs, db, node, DefaultSimConfig(2048, pol))
+		if err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		waited := 0
+		for _, j := range res.Jobs {
+			if j.Wait() > 0 {
+				waited++
+			}
+		}
+		// The digest only pins a queued replay while jobs wait.
+		if waited == 0 {
+			t.Fatalf("%s: no job waited: the replay no longer queues", pol)
+		}
+		if got := replayDigest(res); got != goldenBaseline[pol] {
+			t.Errorf("%s baseline replay digest = %s, want %s", pol, got, goldenBaseline[pol])
+		}
+	}
+}
+
 // replayDigest hashes every job's start, finish, scale and node list in
 // trace order.
 func replayDigest(res *Result) string {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -42,11 +43,11 @@ func ParseSWF(r io.Reader, procsPerNode int) ([]Job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: swf line %d: bad job number: %w", lineNo, err)
 		}
-		submit, err := strconv.ParseFloat(fields[1], 64)
+		submit, err := parseSeconds(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("trace: swf line %d: bad submit time: %w", lineNo, err)
 		}
-		runtime, err := strconv.ParseFloat(fields[3], 64)
+		runtime, err := parseSeconds(fields[3])
 		if err != nil {
 			return nil, fmt.Errorf("trace: swf line %d: bad run time: %w", lineNo, err)
 		}
@@ -74,4 +75,15 @@ func ParseSWF(r io.Reader, procsPerNode int) ([]Job, error) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return jobs, nil
+}
+
+// parseSeconds reads a time column. strconv.ParseFloat also accepts
+// NaN and ±Inf, which no event clock can schedule, so those are errors
+// here.
+func parseSeconds(field string) (float64, error) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("%q is not a finite number of seconds", field)
+	}
+	return v, err
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -351,9 +352,41 @@ func TestParseSWFErrors(t *testing.T) {
 		"1 x 0 100 4",
 		"1 0 0 x 4",
 		"1 0 0 100 x",
+		"1 NaN 0 100 4",
+		"1 Inf 0 100 4",
+		"1 -Inf 0 100 4",
+		"1 0 0 NaN 4",
+		"1 0 0 +Inf 4",
+		"1 0 0 -Inf 4",
 	} {
 		if _, err := ParseSWF(strings.NewReader(bad), 16); err == nil {
 			t.Errorf("ParseSWF(%q) succeeded, want error", bad)
+		} else if !strings.Contains(err.Error(), "swf line 1:") {
+			t.Errorf("ParseSWF(%q) error %q names no line", bad, err)
+		}
+	}
+}
+
+// TestSimulateRejectsNonFiniteTimes hands the replay jobs whose submit
+// or run time no clock can schedule. Each must be refused before the
+// clock starts: a NaN submit would start and finish a job at NaN, a NaN
+// or +Inf run time would hold its node forever, and a -Inf submit would
+// panic in the event queue.
+func TestSimulateRejectsNonFiniteTimes(t *testing.T) {
+	db, node := traceDB(t)
+	for _, bad := range []Job{
+		{SubmitSec: math.NaN(), RuntimeSec: 100},
+		{SubmitSec: math.Inf(1), RuntimeSec: 100},
+		{SubmitSec: math.Inf(-1), RuntimeSec: 100},
+		{SubmitSec: -1, RuntimeSec: 100},
+		{RuntimeSec: math.NaN()},
+		{RuntimeSec: math.Inf(1)},
+		{RuntimeSec: math.Inf(-1)},
+	} {
+		bad.ID, bad.Nodes, bad.Program = 1, 1, "MG"
+		jobs := []Job{{ID: 0, Nodes: 1, RuntimeSec: 50, Program: "MG"}, bad}
+		if _, err := Simulate(jobs, db, node, DefaultSimConfig(4, CE)); err == nil || !strings.Contains(err.Error(), "job 1") {
+			t.Errorf("Simulate with submit %g, run time %g: error %v, want one naming job 1", bad.SubmitSec, bad.RuntimeSec, err)
 		}
 	}
 }
