@@ -33,23 +33,27 @@ bench-module:
 # and leave the benchmark module building and passing.
 check: build vet lint race bench-module
 
-# fuzz-smoke runs the two snapshot fuzzers, the search fuzzer, the sort
-# fuzzer and the span-update fuzzer for real, 20 s each: plain go test
-# only replays their seed corpora, which cannot reach a document, a
-# mutation schedule or a run pattern no one has written down yet.
+# fuzz-smoke runs the six fuzzers for real, 20 s each: the two snapshot
+# fuzzers, the search fuzzer, the sort fuzzer, the span-update fuzzer
+# and the event-queue fuzzer. Plain go test only replays their seed
+# corpora, which cannot reach a document, a mutation schedule or a run
+# pattern no one has written down yet.
 # FuzzCachedSearch drives the search that holds the score cache and the
 # remembered failures against one that holds neither; FuzzSortRuns
 # drives the cache's run-merge sort against slices.SortFunc;
 # FuzzIndexUpdateSpan drives the core index's word-batched span update
-# against the per-node Update loop. One fuzz target per go test
-# invocation is the toolchain's rule. Not part of check (a hundred
-# seconds of mutation on top).
+# against the per-node Update loop; FuzzQueueOrder drives the event
+# heap through exact time ties, cancellations and compaction against a
+# stable sort by (time, insertion order). One fuzz target per go test
+# invocation is the toolchain's rule. Not part of check (two minutes of
+# mutation on top).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreCorrupt -fuzztime 20s ./internal/svc
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 20s ./internal/svc
 	$(GO) test -run '^$$' -fuzz FuzzCachedSearch -fuzztime 20s ./internal/placement
 	$(GO) test -run '^$$' -fuzz FuzzSortRuns -fuzztime 20s ./internal/placement
 	$(GO) test -run '^$$' -fuzz FuzzIndexUpdateSpan -fuzztime 20s ./internal/placement
+	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 20s ./internal/sim
 
 # smoke runs the end-to-end scheduler-as-a-service test: daemon up, load
 # through the REST API, SIGTERM with snapshot, restore, dedup replay.

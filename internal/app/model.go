@@ -197,9 +197,9 @@ func (m *Model) IPCRel(effWays float64) float64 {
 	return m.FloorFrac + (1-m.FloorFrac)*m.mm(effWays)/m.mm(m.refWays)
 }
 
-// loadFactor is the latency-contention divisor for a node where active
+// LoadFactor is the latency-contention divisor for a node where active
 // cores (including this job's own) out of total are busy.
-func (m *Model) loadFactor(activeCores, totalCores int) float64 {
+func (m *Model) LoadFactor(activeCores, totalCores int) float64 {
 	if totalCores <= 1 {
 		return 1
 	}
@@ -214,7 +214,12 @@ func (m *Model) loadFactor(activeCores, totalCores int) float64 {
 
 // IPC returns per-core IPC given effective ways and node occupancy.
 func (m *Model) IPC(effWays float64, activeCores, totalCores int) float64 {
-	return m.IPCMax * m.IPCRel(effWays) / m.loadFactor(activeCores, totalCores)
+	return m.IPCFrom(m.IPCRel(effWays), m.LoadFactor(activeCores, totalCores))
+}
+
+// IPCFrom is IPC from an IPCRel reading and a LoadFactor.
+func (m *Model) IPCFrom(ipcRel, load float64) float64 {
+	return m.IPCMax * ipcRel / load
 }
 
 // missShape is the unnormalized miss-rate curve: a compulsory floor plus
@@ -236,9 +241,22 @@ func (m *Model) MissRel(effWays float64, spread bool) float64 {
 	return rel
 }
 
+// Curves evaluates both cache curves at one point: IPCRel(effWays) and
+// MissRel(effWays, spread). A caller that needs several readings at the
+// same point derives them with IPCFrom, BWDemandFrom and MissPctFrom
+// instead of evaluating the curves once per reading.
+func (m *Model) Curves(effWays float64, spread bool) (ipcRel, missRel float64) {
+	return m.IPCRel(effWays), m.MissRel(effWays, spread)
+}
+
 // MissPct returns the LLC miss rate in percent.
 func (m *Model) MissPct(effWays float64, spread bool) float64 {
-	p := m.MissPctRef * m.MissRel(effWays, spread)
+	return m.MissPctFrom(m.MissRel(effWays, spread))
+}
+
+// MissPctFrom is MissPct from a MissRel reading.
+func (m *Model) MissPctFrom(missRel float64) float64 {
+	p := m.MissPctRef * missRel
 	if p > 95 {
 		p = 95
 	}
@@ -250,8 +268,13 @@ func (m *Model) MissPct(effWays float64, spread bool) float64 {
 // node occupancy. Demand tracks execution speed (slower code issues fewer
 // misses per second) and the miss rate (more cache, less traffic).
 func (m *Model) BWDemandPerCore(effWays float64, activeCores, totalCores int, spread bool) float64 {
-	return m.BWPerCoreRef * m.IPCRel(effWays) / m.loadFactor(activeCores, totalCores) *
-		m.MissRel(effWays, spread)
+	ipcRel, missRel := m.Curves(effWays, spread)
+	return m.BWDemandFrom(ipcRel, missRel, m.LoadFactor(activeCores, totalCores))
+}
+
+// BWDemandFrom is BWDemandPerCore from a Curves reading and a LoadFactor.
+func (m *Model) BWDemandFrom(ipcRel, missRel, load float64) float64 {
+	return m.BWPerCoreRef * ipcRel / load * missRel
 }
 
 // CommSeconds returns the communication time of a run spanning n nodes.

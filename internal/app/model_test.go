@@ -265,3 +265,54 @@ func TestFrameworkString(t *testing.T) {
 		}
 	}
 }
+
+// TestCurvesMatchPerReadingCalls holds the one-evaluation path the
+// execution engine uses (Curves, then IPCFrom, BWDemandFrom and
+// MissPctFrom) bit for bit to the per-reading methods and to their
+// formulas written out in full, for every program over a grid of
+// effective ways, node occupancies and both spread states.
+func TestCurvesMatchPerReadingCalls(t *testing.T) {
+	spec := hw.DefaultNodeSpec()
+	total := spec.Cores.Int()
+	grid := []float64{0, 0.25, 0.5, 1, 1.5, 2, 3, 5, 8, 13, 20, 33, 60, 320}
+	for c := 1; c <= total; c++ { // what EffectiveWays yields on a node
+		for _, ways := range []float64{2, 7, 20} {
+			grid = append(grid, ways*RefConcurrency/float64(c))
+		}
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, name := range ProgramNames {
+		m := testModel(t, name)
+		for _, eff := range grid {
+			for _, spread := range []bool{false, true} {
+				ipcRel, missRel := m.Curves(eff, spread)
+				if !same(ipcRel, m.IPCRel(eff)) || !same(missRel, m.MissRel(eff, spread)) {
+					t.Fatalf("%s: Curves(%g, %v) = (%g, %g), want (%g, %g)",
+						name, eff, spread, ipcRel, missRel, m.IPCRel(eff), m.MissRel(eff, spread))
+				}
+				miss := m.MissPctRef * m.MissRel(eff, spread)
+				if miss > 95 {
+					miss = 95
+				}
+				if got := m.MissPctFrom(missRel); !same(got, m.MissPct(eff, spread)) || !same(got, miss) {
+					t.Fatalf("%s: MissPctFrom at (%g, %v) = %g, MissPct %g, formula %g",
+						name, eff, spread, got, m.MissPct(eff, spread), miss)
+				}
+				for active := 1; active <= total; active++ {
+					load := m.LoadFactor(active, total)
+					ipc := m.IPCMax * m.IPCRel(eff) / load
+					if got := m.IPCFrom(ipcRel, load); !same(got, m.IPC(eff, active, total)) || !same(got, ipc) {
+						t.Fatalf("%s: IPCFrom at (%g, %d) = %g, IPC %g, formula %g",
+							name, eff, active, got, m.IPC(eff, active, total), ipc)
+					}
+					bw := m.BWPerCoreRef * m.IPCRel(eff) / load * m.MissRel(eff, spread)
+					got := m.BWDemandFrom(ipcRel, missRel, load)
+					if want := m.BWDemandPerCore(eff, active, total, spread); !same(got, want) || !same(got, bw) {
+						t.Fatalf("%s: BWDemandFrom at (%g, %d, %v) = %g, BWDemandPerCore %g, formula %g",
+							name, eff, active, spread, got, want, bw)
+					}
+				}
+			}
+		}
+	}
+}

@@ -172,13 +172,6 @@ func (n *Node) Alloc(id int) (Alloc, bool) {
 type State struct {
 	Spec  hw.ClusterSpec
 	Nodes []*Node
-
-	// OnChange, when set, is called with every node id whose allocation
-	// set changes (one call per node per Allocate/Release). The
-	// scheduler wires the placement score cache's Invalidate here, so
-	// every bookkeeping mutation — present and future — feeds the
-	// dirty set structurally instead of relying on call-site diligence.
-	OnChange func(node int)
 }
 
 // New creates an all-idle cluster.
@@ -256,9 +249,6 @@ func (s *State) AllocateIO(jobID int, nodes []NodeAlloc, ways units.Ways, bw, io
 			JobID: jobID, Cores: na.Cores, Ways: ways, BW: bw, MemGB: na.MemGB,
 			IOBW: ioBW, Exclusive: exclusive,
 		})
-		if s.OnChange != nil {
-			s.OnChange(na.Node)
-		}
 	}
 	return nil
 }
@@ -271,9 +261,6 @@ func (s *State) Release(jobID int) []int {
 		if i := n.find(jobID); i >= 0 {
 			n.removeAt(i)
 			freed = append(freed, n.ID)
-			if s.OnChange != nil {
-				s.OnChange(n.ID)
-			}
 		}
 	}
 	return freed

@@ -87,8 +87,24 @@ type Daemon struct {
 	NodeID int
 	spec   hw.NodeSpec
 	ways   *hw.WayAllocator
-	bound  map[int]CoreSet // job id -> cores
-	busy   []bool          // core occupancy
+	bound  []binding // one per actuated job; a node holds a handful
+	busy   []bool    // core occupancy
+}
+
+// binding is the core set one job holds on the node.
+type binding struct {
+	job   int
+	cores CoreSet
+}
+
+// find returns the index of jobID's binding, or -1.
+func (d *Daemon) find(jobID int) int {
+	for i := range d.bound {
+		if d.bound[i].job == jobID {
+			return i
+		}
+	}
+	return -1
 }
 
 // New creates an idle daemon for a node.
@@ -97,7 +113,6 @@ func New(nodeID int, spec hw.NodeSpec) *Daemon {
 		NodeID: nodeID,
 		spec:   spec,
 		ways:   hw.NewWayAllocator(spec),
-		bound:  make(map[int]CoreSet),
 		busy:   make([]bool, spec.Cores),
 	}
 }
@@ -115,8 +130,10 @@ func (d *Daemon) FreeCores() int {
 
 // Bound returns the core set held by a job, if any.
 func (d *Daemon) Bound(jobID int) (CoreSet, bool) {
-	c, ok := d.bound[jobID]
-	return c, ok
+	if i := d.find(jobID); i >= 0 {
+		return d.bound[i].cores, true
+	}
+	return nil, false
 }
 
 // pickCores selects `n` free cores balanced across the two sockets (cores
@@ -174,7 +191,7 @@ func (d *Daemon) pickCores(n int) (CoreSet, error) {
 // this node; the returned plan renders the launch command on demand. Pass
 // ways 0 for unmanaged cache and bwCap 0 for no MBA throttle.
 func (d *Daemon) Actuate(jobID int, prog *app.Model, cores, ways int, bwCap float64) (LaunchPlan, error) {
-	if _, ok := d.bound[jobID]; ok {
+	if d.find(jobID) >= 0 {
 		return LaunchPlan{}, fmt.Errorf("daemon: node %d: job %d already actuated", d.NodeID, jobID)
 	}
 	if cores <= 0 {
@@ -201,7 +218,7 @@ func (d *Daemon) Actuate(jobID int, prog *app.Model, cores, ways int, bwCap floa
 	for _, id := range set {
 		d.busy[id] = true
 	}
-	d.bound[jobID] = set
+	d.bound = append(d.bound, binding{job: jobID, cores: set})
 	return LaunchPlan{
 		JobID:   jobID,
 		Program: prog.Name,
@@ -214,14 +231,17 @@ func (d *Daemon) Actuate(jobID int, prog *app.Model, cores, ways int, bwCap floa
 
 // Release unbinds a job's cores and returns its LLC partition.
 func (d *Daemon) Release(jobID int) error {
-	set, ok := d.bound[jobID]
-	if !ok {
+	i := d.find(jobID)
+	if i < 0 {
 		return fmt.Errorf("daemon: node %d: job %d not actuated", d.NodeID, jobID)
 	}
-	for _, id := range set {
+	for _, id := range d.bound[i].cores {
 		d.busy[id] = false
 	}
-	delete(d.bound, jobID)
+	last := len(d.bound) - 1
+	d.bound[i] = d.bound[last]
+	d.bound[last] = binding{}
+	d.bound = d.bound[:last]
 	// The partition exists only for CAT-managed jobs.
 	if _, held := d.ways.Mask(jobID); held {
 		return d.ways.Release(jobID)

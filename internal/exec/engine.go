@@ -64,6 +64,8 @@ type resolveScratch struct {
 	demands    []float64
 	rawDemands []float64
 	effWays    []float64
+	ipcs       []float64
+	missPcts   []float64
 	ioDemands  []float64
 	grants     []float64
 	ioGrants   []float64
@@ -195,6 +197,8 @@ func (e *Engine) Launch(j *Job) error {
 	j.Start = e.q.Now()
 	j.lastT = j.Start
 	j.remaining = 1
+	j.work = j.Prog.WorkPerProcess(j.SpanNodes())
+	j.comm = j.Prog.CommSeconds(j.SpanNodes())
 	j.shares = make([]nodeShare, len(j.Nodes))
 	j.finishFn = func() { e.finish(j) }
 	e.jobs[j.ID] = j
@@ -532,16 +536,22 @@ func (e *Engine) resolveNode(n int) {
 	}
 
 	// Memory bandwidth: demands are water-filled against the roofline
-	// for the node's active core count.
+	// for the node's active core count. Each resident's cache curves are
+	// evaluated once; its demand, IPC and miss rate all derive from them.
 	sc.demands = growFloats(sc.demands, len(res))
 	sc.rawDemands = growFloats(sc.rawDemands, len(res))
 	sc.effWays = growFloats(sc.effWays, len(res))
+	sc.ipcs = growFloats(sc.ipcs, len(res))
+	sc.missPcts = growFloats(sc.missPcts, len(res))
 	for i, r := range res {
-		j := r.job
-		eff := j.Prog.EffectiveWays(sc.ways[i], r.cores)
+		j, p := r.job, r.job.Prog
+		eff := p.EffectiveWays(sc.ways[i], r.cores)
 		sc.effWays[i] = eff
-		spread := j.SpanNodes() > 1
-		d := float64(r.cores) * j.Prog.BWDemandPerCore(eff, totalCores, spec.Cores.Int(), spread)
+		ipcRel, missRel := p.Curves(eff, j.SpanNodes() > 1)
+		load := p.LoadFactor(totalCores, spec.Cores.Int())
+		sc.ipcs[i] = p.IPCFrom(ipcRel, load)
+		sc.missPcts[i] = p.MissPctFrom(missRel)
+		d := float64(r.cores) * p.BWDemandFrom(ipcRel, missRel, load)
 		if j.phaseMul > 0 {
 			d *= j.phaseMul
 		}
@@ -571,8 +581,6 @@ func (e *Engine) resolveNode(n int) {
 	hw.WaterFillInto(sc.ioGrants, spec.IOBandwidth.Float64(), sc.ioDemands, sc.order[:len(res)])
 
 	for i, r := range res {
-		j := r.job
-		spread := j.SpanNodes() > 1
 		throttle := 1.0
 		if sc.rawDemands[i] > 0 && sc.grants[i] < sc.rawDemands[i] {
 			throttle = sc.grants[i] / sc.rawDemands[i]
@@ -582,13 +590,12 @@ func (e *Engine) resolveNode(n int) {
 				throttle = t
 			}
 		}
-		ipc := j.Prog.IPC(sc.effWays[i], totalCores, spec.Cores.Int())
-		j.shares[r.slot] = nodeShare{
-			rate:    ipc * spec.FreqGHz.Float64() * throttle,
+		r.job.shares[r.slot] = nodeShare{
+			rate:    sc.ipcs[i] * spec.FreqGHz.Float64() * throttle,
 			grant:   units.GBpsOf(sc.grants[i]),
 			demand:  units.GBpsOf(sc.rawDemands[i]),
 			ioGrant: units.GBpsOf(sc.ioGrants[i]),
-			missPct: j.Prog.MissPct(sc.effWays[i], spread),
+			missPct: sc.missPcts[i],
 			effWays: sc.effWays[i],
 			cores:   r.cores,
 		}
@@ -619,14 +626,11 @@ func (e *Engine) refreshJob(j *Job) {
 	nn := float64(len(j.Nodes))
 	j.perCoreRate = minRate
 
-	work := j.Prog.WorkPerProcess(j.SpanNodes())
-	comm := j.Prog.CommSeconds(j.SpanNodes())
-	j.commInflation = e.commInflation(j)
-	comm *= j.commInflation
+	comm := j.comm * e.commInflation(j)
 
 	var computeSec float64
 	if minRate > 0 {
-		computeSec = work / minRate
+		computeSec = j.work / minRate
 	}
 	total := computeSec + comm
 	if minRate <= 0 || total <= 0 {
@@ -671,8 +675,7 @@ func (e *Engine) commInflation(j *Job) float64 {
 			if other.SpanNodes() <= 1 {
 				continue
 			}
-			w := other.Prog.WorkPerProcess(other.SpanNodes())
-			c := other.Prog.CommSeconds(other.SpanNodes())
+			w, c := other.work, other.comm
 			rr := other.perCoreRate
 			if rr <= 0 {
 				// Not yet rated (fresh launch): use solo rate.

@@ -109,8 +109,9 @@ type Job struct {
 	perCoreRate float64
 	// computeFrac is the fraction of wall time spent computing.
 	computeFrac float64
-	// commInflation is the NIC-contention stretch on communication.
-	commInflation float64
+	// work and comm are WorkPerProcess and CommSeconds for the launched
+	// footprint, fixed at Launch.
+	work, comm float64
 	// metrics is the current instantaneous reading.
 	metrics pmu.Metrics
 	// counters accumulate over the run.

@@ -354,11 +354,13 @@ func TestSequenceExperimentsShape(t *testing.T) {
 
 // TestSequenceStudyMallocs is the end-to-end allocation gate on the
 // testbed study: one 20-job sequence through CE, CS and SNS — three
-// schedulers, their daemons and engines, sixty jobs — in at most 2,400
+// schedulers, their daemons and engines, sixty jobs — in at most 1,600
 // heap objects. Sequence 0 read 8,030 when every placement attempt
 // formatted its profile key, sorted its scale ladder and built a core
 // vector per rung, and every actuation built two free lists and a launch
-// line; 1,667 since. A count, not a clock. The auditor is paused because it
+// line; 1,667 after that; 1,494 since schedulers stopped building a
+// score cache and a job map, and daemons a binding map. A count, not a
+// clock. The auditor is paused because it
 // re-derives what the run memoises, allocating as it goes.
 func TestSequenceStudyMallocs(t *testing.T) {
 	e := env(t)
@@ -369,8 +371,8 @@ func TestSequenceStudyMallocs(t *testing.T) {
 		}
 	}
 	study() // measures the CE baselines the later runs read from cache
-	if allocs := testing.AllocsPerRun(5, study); allocs > 2400 {
-		t.Errorf("a %d-job sequence study allocates %.0f objects, want at most 2400", SeqJobs, allocs)
+	if allocs := testing.AllocsPerRun(5, study); allocs > 1600 {
+		t.Errorf("a %d-job sequence study allocates %.0f objects, want at most 1600", SeqJobs, allocs)
 	}
 }
 

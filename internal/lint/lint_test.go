@@ -280,6 +280,11 @@ func TestHotpathCoverage(t *testing.T) {
 		"(*spreadnshare/internal/sim.Queue).Cancel",
 		"(*spreadnshare/internal/sim.Queue).Step",
 		"(*spreadnshare/internal/sim.Queue).Run",
+		"(*spreadnshare/internal/sim.eventHeap).push",
+		"(*spreadnshare/internal/sim.eventHeap).pop",
+		"(spreadnshare/internal/sim.eventHeap).init",
+		"(spreadnshare/internal/sim.eventHeap).up",
+		"(spreadnshare/internal/sim.eventHeap).down",
 		"(*spreadnshare/internal/placement.Search).FindDemand",
 		"(*spreadnshare/internal/placement.Search).findDemandCached",
 		"(*spreadnshare/internal/placement.Search).selectIdlest",

@@ -25,11 +25,15 @@ type cacheEntry struct {
 // instead of rescoring and heap-selecting the whole bucket.
 //
 // Mutations are O(1): backends call Invalidate(id) after every
-// reservation change (SimState does it inside Reserve/Release; the
-// testbed wires cluster.State.OnChange), which just sets the node's bit
-// in the dirty bitset. All ordering work happens at search time, where
-// it is amortized over the whole dirty batch and leans on the order the
-// batch already has:
+// reservation change (SimState does it inside Reserve/Release), which
+// just sets the node's bit in the dirty bitset. Only svc wires a cache,
+// and only under SNS, the one policy whose search calls FindDemand; the
+// testbed scheduler (internal/sched) runs on a few nodes, where building
+// and invalidating a cache per run costs more than the from-scratch
+// search it would replace.
+//
+// All ordering work happens at search time, where it is amortized over
+// the whole dirty batch and leans on the order the batch already has:
 //
 //   - flush (top of every cached search): the bitset is drained in
 //     ascending node-id order — its only order — and each dirty node is

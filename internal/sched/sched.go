@@ -21,6 +21,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"spreadnshare/internal/app"
 	"spreadnshare/internal/cluster"
@@ -115,9 +116,11 @@ type JobSpec struct {
 	Program string
 	// Procs is the requested process count.
 	Procs int
-	// Alpha is the optional slowdown threshold; 0 means the default.
+	// Alpha is the optional slowdown threshold; any value outside
+	// (0, 1], NaN included, means the default.
 	Alpha float64
-	// Submit is the submission time in seconds.
+	// Submit is the submission time in seconds: finite, and not before
+	// the scheduler's clock.
 	Submit float64
 	// Priority ranks the job in the queue (higher first; default 0).
 	// Aging promotes waiting jobs by one level per AgingPeriodSec.
@@ -136,7 +139,7 @@ type Scheduler struct {
 	idx    *placement.CoreIndex
 	search *placement.Search
 	queue  *placement.Pending
-	byID   map[int]*exec.Job
+	byID   []*exec.Job // indexed by job id, which Submit hands out densely from 0
 
 	done    []*exec.Job
 	nextID  int
@@ -225,8 +228,7 @@ func New(spec hw.ClusterSpec, cat *app.Catalog, db *profiler.DB, cfg Config) (*S
 	}
 	s := &Scheduler{
 		cfg: cfg, spec: spec, cat: cat, db: db, eng: eng, cl: cl,
-		idx:  placement.NewCoreIndex(spec.Nodes, spec.Node.Cores.Int()),
-		byID: make(map[int]*exec.Job),
+		idx: placement.NewCoreIndex(spec.Nodes, spec.Node.Cores.Int()),
 		queue: &placement.Pending{
 			AgingPeriodSec: cfg.AgingPeriodSec,
 			AgeLimitSec:    cfg.AgeLimitSec,
@@ -245,12 +247,11 @@ func New(spec hw.ClusterSpec, cat *app.Catalog, db *profiler.DB, cfg Config) (*S
 		NoGrouping:      cfg.NoGrouping,
 		ExclusiveSpread: cfg.ExclusiveSpread,
 		HasIntensive:    s.nodeHasIntensive,
-		Cache:           placement.NewScoreCache(spec.Nodes, spec.Node.Cores.Int()),
+		// No score cache: it pays on clusters of thousands of nodes. On a
+		// testbed of a few, building one per run and invalidating it on
+		// every allocation costs more than FindDemand's from-scratch body,
+		// which answers bit-identically by contract.
 	}
-	// Every bookkeeping mutation flows through cluster.State, so hooking
-	// its change callback covers all present and future allocation paths
-	// (tryPlace's AllocateIO, OnFinish's Release) without per-site wiring.
-	cl.OnChange = s.search.Cache.Invalidate
 	for i := range s.daemons {
 		s.daemons[i] = daemon.New(i, spec.Node)
 	}
@@ -326,8 +327,12 @@ func (s *Scheduler) Submit(js JobSpec) error {
 	if js.Procs > s.spec.TotalCores() {
 		return fmt.Errorf("sched: %d processes exceed cluster capacity %d", js.Procs, s.spec.TotalCores())
 	}
+	// The clock starts at 0, so this refuses negative times and NaN.
+	if now := s.eng.Now(); !(js.Submit >= now) || math.IsInf(js.Submit, 1) {
+		return fmt.Errorf("sched: submit time %g is not a finite time at or after %g", js.Submit, now)
+	}
 	alpha := js.Alpha
-	if alpha <= 0 || alpha > 1 {
+	if !(alpha > 0 && alpha <= 1) {
 		alpha = s.cfg.DefaultAlpha
 	}
 	id := s.nextID
@@ -339,7 +344,7 @@ func (s *Scheduler) Submit(js JobSpec) error {
 		Alpha:  alpha,
 		Submit: js.Submit,
 	}
-	s.byID[id] = j
+	s.byID = append(s.byID, j)
 	priority := js.Priority
 	s.eng.Queue().At(js.Submit, func() {
 		// The submission index doubles as the rank tie-breaker (FIFO).

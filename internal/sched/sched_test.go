@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"spreadnshare/internal/app"
@@ -270,6 +271,57 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if err := s.Submit(JobSpec{Program: "MG", Procs: 9999}); err == nil {
 		t.Error("cluster-exceeding job accepted")
+	}
+}
+
+// TestSubmitRefusesUnschedulableTimes: a submit time the event clock
+// cannot order is an error from Submit, never a panic inside it or a job
+// that starts and finishes at NaN.
+func TestSubmitRefusesUnschedulableTimes(t *testing.T) {
+	spec, cat, db := testSetup(t)
+	for _, tc := range []struct {
+		name   string
+		submit float64
+	}{
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+		{"negative", -1},
+		{"-Inf", math.Inf(-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(spec, cat, db, DefaultConfig(SNS))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Submit(JobSpec{Program: "MG", Procs: 16, Submit: tc.submit}); err == nil {
+				t.Fatalf("submit time %g accepted", tc.submit)
+			}
+			if done, err := s.Run(); err != nil || len(done) != 0 {
+				t.Fatalf("refused submission left work behind: %d jobs done, err %v", len(done), err)
+			}
+		})
+	}
+}
+
+// TestSubmitAlphaNaNIsUnset: α outside (0, 1] means "use the default",
+// NaN included, so a NaN threshold reserves what an unset one does.
+func TestSubmitAlphaNaNIsUnset(t *testing.T) {
+	ways := func(alpha float64) []int {
+		jobs := runPolicy(t, SNS, []JobSpec{
+			{Program: "MG", Procs: 16, Alpha: alpha},
+			{Program: "CG", Procs: 16, Alpha: alpha},
+		})
+		out := make([]int, len(jobs))
+		for _, j := range jobs {
+			if !(j.Alpha > 0 && j.Alpha <= 1) {
+				t.Fatalf("job %s kept α = %g", j.Prog.Name, j.Alpha)
+			}
+			out[j.ID] = j.Ways.Int()
+		}
+		return out
+	}
+	if got, want := ways(math.NaN()), ways(0); !slices.Equal(got, want) {
+		t.Errorf("α = NaN reserves ways %v, an unset α %v", got, want)
 	}
 }
 

@@ -3,8 +3,6 @@
 // tie-breaking and cancellation, plus a driver loop.
 package sim
 
-import "container/heap"
-
 // Event is a scheduled callback. Events are compared by time, then by
 // insertion order, so simultaneous events fire deterministically.
 //
@@ -25,15 +23,15 @@ type Event struct {
 // Cancelled reports whether the event was cancelled before firing.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
+// eventHeap is a binary min-heap of events under (Time, seq). Its
+// sift functions are container/heap's, typed: the comparison and swap
+// are direct calls instead of interface calls.
 type eventHeap []*Event
 
+// less reports whether event i fires before event j.
 //
 //sns:hotpath
-func (h eventHeap) Len() int { return len(h) }
-
-//
-//sns:hotpath
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	//lint:floateq exact tie detection so equal-time events fall to seq order
 	if h[i].Time != h[j].Time {
 		return h[i].Time < h[j].Time
@@ -43,31 +41,81 @@ func (h eventHeap) Less(i, j int) bool {
 
 //
 //sns:hotpath
-func (h eventHeap) Swap(i, j int) {
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
 
+// up sifts element j toward the root.
 //
 //sns:hotpath
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
+func (h eventHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts element i0 toward the leaves of the first n elements.
+//
+//sns:hotpath
+func (h eventHeap) down(i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+}
+
+// push adds e to the heap.
+//
+//sns:hotpath
+func (h *eventHeap) push(e *Event) {
 	e.index = len(*h)
 	//lint:allocfree heap growth is amortized; the free list recycles events in steady state
 	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
 
+// pop removes and returns the earliest event.
 //
 //sns:hotpath
-func (h *eventHeap) Pop() any {
+func (h *eventHeap) pop() *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	old.swap(0, n)
+	old.down(0, n)
+	e := old[n]
+	old[n] = nil
 	e.index = -1
-	*h = old[:n-1]
+	*h = old[:n]
 	return e
+}
+
+// init establishes the heap order over arbitrary contents.
+//
+//sns:hotpath
+func (h eventHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
 }
 
 // compactMin is the heap size below which cancelled events are left in
@@ -96,12 +144,13 @@ func (q *Queue) Now() float64 { return q.now }
 // Len returns the number of pending (non-cancelled) events in O(1).
 func (q *Queue) Len() int { return len(q.h) - q.dead }
 
-// At schedules fn at time t. Scheduling in the past (before Now) is a
-// programming error and panics, as it would corrupt causality.
+// At schedules fn at time t. Scheduling in the past (before Now) or at
+// NaN, which no time orders against, is a programming error and panics,
+// as it would corrupt causality.
 //
 //sns:hotpath
 func (q *Queue) At(t float64, fn func()) *Event {
-	if t < q.now {
+	if !(t >= q.now) {
 		panic("sim: event scheduled in the past")
 	}
 	var e *Event
@@ -116,7 +165,7 @@ func (q *Queue) At(t float64, fn func()) *Event {
 	}
 	e.Time, e.Fn, e.seq = t, fn, q.seq
 	q.seq++
-	heap.Push(&q.h, e)
+	q.h.push(e)
 	return e
 }
 
@@ -171,7 +220,7 @@ func (q *Queue) maybeCompact() {
 	q.dead = 0
 	// The (time, seq) order is total, so re-heapifying cannot perturb
 	// pop order.
-	heap.Init(&q.h)
+	q.h.init()
 }
 
 // Step pops and runs the next pending event, returning false when the
@@ -180,7 +229,7 @@ func (q *Queue) maybeCompact() {
 //sns:hotpath
 func (q *Queue) Step() bool {
 	for len(q.h) > 0 {
-		e := heap.Pop(&q.h).(*Event)
+		e := q.h.pop()
 		if e.cancelled {
 			q.dead--
 			q.release(e)
@@ -208,7 +257,7 @@ func (q *Queue) Run(horizon float64) int {
 			// Peek: skip cancelled heads without firing.
 			for len(q.h) > 0 && q.h[0].cancelled {
 				q.dead--
-				q.release(heap.Pop(&q.h).(*Event))
+				q.release(q.h.pop())
 			}
 			if len(q.h) == 0 || q.h[0].Time > horizon {
 				break

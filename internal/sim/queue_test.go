@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -61,16 +63,28 @@ func TestQueueCancel(t *testing.T) {
 	q.Cancel(nil) // must not panic
 }
 
+// TestQueuePastPanics: a time before the clock, or NaN, which orders
+// against no time, cannot be scheduled.
 func TestQueuePastPanics(t *testing.T) {
-	var q Queue
-	q.At(5, func() {})
-	q.Step()
-	defer func() {
-		if recover() == nil {
-			t.Error("scheduling in the past did not panic")
-		}
-	}()
-	q.At(1, func() {})
+	for _, tc := range []struct {
+		name string
+		at   float64
+	}{
+		{"past", 1},
+		{"NaN", math.NaN()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var q Queue
+			q.At(5, func() {})
+			q.Step()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("scheduling at %g with the clock at 5 did not panic", tc.at)
+				}
+			}()
+			q.At(tc.at, func() {})
+		})
+	}
 }
 
 func TestQueueRunHorizon(t *testing.T) {
@@ -140,4 +154,103 @@ func TestQueueOrderProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// checkQueueOrder schedules n events whose times take one of levels
+// integer values, so most times tie exactly, and cancels about cancelPct
+// percent of them. It fires up to a horizon halfway through the levels,
+// schedules n more at or after the clock, cancels again and drains. Each
+// phase must fire exactly its live events, in a stable sort by time of
+// their insertion order. With n past compactMin and cancelPct above 50,
+// the cancellations compact the heap mid-run.
+func checkQueueOrder(t *testing.T, seed int64, n, levels, cancelPct int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	type live struct {
+		id int
+		at float64
+		e  *Event
+	}
+	var q Queue
+	var pending []live // insertion order
+	var fired []int
+	next := 0
+	schedule := func(from float64) {
+		for i := 0; i < n; i++ {
+			id, at := next, from+float64(rng.Intn(levels))
+			next++
+			pending = append(pending, live{id, at, q.At(at, func() { fired = append(fired, id) })})
+		}
+	}
+	cancel := func() {
+		kept := pending[:0]
+		for _, p := range pending {
+			if rng.Intn(100) < cancelPct {
+				q.Cancel(p.e)
+			} else {
+				kept = append(kept, p)
+			}
+		}
+		pending = kept
+		if q.Len() != len(pending) {
+			t.Fatalf("seed %d: Len = %d with %d live events", seed, q.Len(), len(pending))
+		}
+	}
+	run := func(phase string, horizon float64) {
+		sort.SliceStable(pending, func(a, b int) bool { return pending[a].at < pending[b].at })
+		var want []int
+		rest := pending[:0]
+		for _, p := range pending {
+			if horizon <= 0 || p.at <= horizon {
+				want = append(want, p.id)
+			} else {
+				rest = append(rest, p)
+			}
+		}
+		// Keep the survivors in insertion order for the next phase.
+		sort.Slice(rest, func(a, b int) bool { return rest[a].id < rest[b].id })
+		pending = rest
+		fired = fired[:0]
+		q.Run(horizon)
+		if !slices.Equal(fired, want) {
+			t.Fatalf("seed %d, %s phase: fired %v, want %v", seed, phase, fired, want)
+		}
+	}
+	schedule(0)
+	cancel()
+	run("first", float64(levels)/2+0.5)
+	schedule(q.Now())
+	cancel()
+	run("second", 0)
+	if q.Len() != 0 {
+		t.Fatalf("seed %d: %d events left after draining", seed, q.Len())
+	}
+}
+
+func TestQueueOrderTies(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		seed                 int64
+		n, levels, cancelPct int
+	}{
+		{"few, no cancels", 1, 10, 3, 0},
+		{"every time tied", 2, 300, 1, 0},
+		{"tied and compacting", 3, 200, 4, 60},
+		{"all tied, mostly cancelled", 4, 500, 1, 75},
+		{"spread times", 5, 300, 50, 30},
+		{"everything cancelled", 6, 100, 2, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkQueueOrder(t, tc.seed, tc.n, tc.levels, tc.cancelPct) })
+	}
+}
+
+// FuzzQueueOrder holds the heap to a stable sort by (time, insertion
+// order) over arbitrary tie densities, cancellation rates and sizes.
+func FuzzQueueOrder(f *testing.F) {
+	f.Add(int64(3), uint16(200), uint8(3), uint8(60))
+	f.Add(int64(4), uint16(500), uint8(0), uint8(75))
+	f.Add(int64(5), uint16(300), uint8(49), uint8(30))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, levels, cancelPct uint8) {
+		checkQueueOrder(t, seed, int(n%1024)+1, int(levels)+1, int(cancelPct)%101)
+	})
 }

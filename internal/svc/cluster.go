@@ -60,9 +60,15 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("svc: bad node spec: %w", err)
 	}
 	state := placement.NewSimState(cfg.Node, cfg.Nodes)
-	cache := placement.NewScoreCache(cfg.Nodes, cfg.Node.Cores.Int())
-	state.SetOnChange(cache.Invalidate)
-	state.SetOnSpanChange(cache.InvalidateSpan)
+	// Only SNS calls FindDemand, the one reader of the score cache; under
+	// CE, CS and TwoSlot every mutation would pay to invalidate it for
+	// nothing.
+	var cache *placement.ScoreCache
+	if cfg.Policy == placement.SNS {
+		cache = placement.NewScoreCache(cfg.Nodes, cfg.Node.Cores.Int())
+		state.SetOnChange(cache.Invalidate)
+		state.SetOnSpanChange(cache.InvalidateSpan)
+	}
 	c := &Cluster{
 		cfg:     cfg,
 		state:   state,

@@ -4,8 +4,8 @@
 // closed-trace simulators and the long-running daemon (cmd/snsd).
 //
 // The core owns a placement.SimState (capacity bookkeeping + free-core
-// index, score-cached unless disabled), the aging placement.Pending
-// queue, and the job lifecycle:
+// index, score-cached under SNS, the one policy whose search reads the
+// cache), the aging placement.Pending queue, and the job lifecycle:
 //
 //	submitted ── Submit ──▶ Queued ── ScheduleRound ──▶ Running ── Complete ──▶ Done
 //	                          │                            │

@@ -302,7 +302,9 @@ func TestBatchedAdmissionEquivalence(t *testing.T) {
 // The third is what a core with the retired score-cache opt-out set
 // wrote. The from-scratch search placed bit-identically to the
 // cached one by contract, so the restored core is cached like any other
-// and must schedule exactly as the live one does.
+// SNS core and must schedule exactly as the live one does. A core, fresh
+// or restored, holds a score cache exactly when its policy is SNS, the
+// one policy whose search reads it.
 func TestSnapshotRestore(t *testing.T) {
 	for _, policy := range []placement.Policy{placement.CE, placement.CS, placement.SNS, placement.TwoSlot} {
 		t.Run(policy.String(), func(t *testing.T) { testSnapshotRestore(t, policy) })
@@ -312,6 +314,9 @@ func TestSnapshotRestore(t *testing.T) {
 func testSnapshotRestore(t *testing.T, policy placement.Policy) {
 	c, db, node := testCore(t, policy, 16)
 	model := PolicyRuntime(policy, node)
+	if got, want := c.search.Cache != nil, policy == placement.SNS; got != want {
+		t.Fatalf("fresh core has a score cache = %v, want %v (only SNS reads one)", got, want)
+	}
 
 	doneJob, _ := c.Submit(spec(db, "EP", 2, 10), 0)
 	c.ScheduleRound(0, model)
@@ -395,8 +400,8 @@ func testSnapshotRestore(t *testing.T, policy placement.Policy) {
 		if _, ok := r.JobByName("mg-1"); !ok {
 			t.Fatalf("%s: name index lost in restore", d.name)
 		}
-		if r.search.Cache == nil {
-			t.Fatalf("%s: restored core searches without the score cache", d.name)
+		if got, want := r.search.Cache != nil, policy == placement.SNS; got != want {
+			t.Fatalf("%s: restored core has a score cache = %v, want %v (only SNS reads one)", d.name, got, want)
 		}
 	}
 
