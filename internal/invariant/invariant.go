@@ -255,12 +255,12 @@ func (a *Auditor) CheckSimState(s *placement.SimState) {
 // their current free-core bucket with bit-identical cached scores,
 // bucket lists in strict ascending (score, id) order, and every flushed
 // node recoverable from its bucket. The remembered failures: for every
-// entry, no more nodes able to host its demand than the failed walk
-// counted plus the node-slots released since — so a mutation that frees
-// capacity without moving the backend's release counter fails here, not
-// in a digest. The scale ladders: every memoised (profile, alpha) ladder
-// equal to one resolved from its profile now, so a profile edited after a
-// request carried it fails here too. A search with none of the three
+// entry, a count equal to its host set's population and a bit for every
+// clean node that says whether the node can host the entry's demand now
+// — so a mutation that changes capacity without invalidating the node
+// fails here, not in a digest. The scale ladders: every memoised
+// (profile, alpha) ladder equal to one resolved from its profile now, so
+// a profile edited after a request carried it fails here too. A search with none of the three
 // passes vacuously.
 func (a *Auditor) CheckScoreCache(s *placement.Search) {
 	if s == nil {

@@ -85,34 +85,39 @@ func TestCheckSimStateCatchesBandwidthLeak(t *testing.T) {
 }
 
 // TestCheckScoreCacheCatchesUncountedRelease hands capacity back behind
-// the release counter's back — a reserve of negative amounts, standing
-// in for a future mutation that frees capacity and forgets to count it —
-// after a search has remembered a failure: the recount finds more nodes
-// able to host the demand than the remembered bound allows.
+// the score cache's back — a release made while the change hook is
+// unwired, standing in for a future mutation that frees capacity and
+// forgets to invalidate the node — after a search has remembered a
+// failure: the re-test finds a clean node able to host the demand that
+// the remembered host set leaves out. The release frees only memory,
+// which no score reads, so it is the remembered failure that says so.
 func TestCheckScoreCacheCatchesUncountedRelease(t *testing.T) {
 	spec := hw.DefaultNodeSpec()
 	s := placement.NewSimState(spec, 4)
-	search := &placement.Search{View: s, Idx: s.Index(), Spec: spec, Nodes: 4}
+	cache := placement.NewScoreCache(4, spec.Cores.Int())
+	s.SetOnChange(cache.Invalidate)
+	search := &placement.Search{View: s, Idx: s.Index(), Spec: spec, Nodes: 4, Cache: cache}
 	a := New("t")
-	held := placement.Reservation{Cores: 2, Ways: spec.LLCWays - 2}
+	held := placement.Reservation{Cores: 2, MemGB: 120}
 	for id := 0; id < 4; id++ {
 		s.Reserve(id, held)
 	}
-	d := core.Demand{Cores: 4, Ways: 4}
+	d := core.Demand{Cores: 4, MemGB: 16}
 	if search.FindDemand(1, d) != nil {
-		t.Fatal("4 ways fit on a node with 2 free")
+		t.Fatal("16 GB fit on a node with 8 free")
 	}
 	a.CheckScoreCache(search) // a remembered failure that still holds must pass
 
-	// A counted release loosens the bound as it frees the node.
+	// A release the cache hears of puts the node in the host set.
 	s.Release(0, held)
 	a.CheckScoreCache(search)
 	if got := search.FindDemand(2, d); got != nil {
 		t.Fatalf("FindDemand(2) = %v with one node freed", got)
 	}
 
-	s.Reserve(1, placement.Reservation{Cores: -held.Cores, Ways: -held.Ways})
-	mustPanic(t, "node-slots were released since", func() { a.CheckScoreCache(search) })
+	s.SetOnChange(nil)
+	s.Release(1, placement.Reservation{MemGB: held.MemGB})
+	mustPanic(t, "clean node 1 can host", func() { a.CheckScoreCache(search) })
 }
 
 // TestCheckScoreCacheCatchesEditedProfile breaks the ladder memo's

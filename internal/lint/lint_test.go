@@ -287,6 +287,10 @@ func TestHotpathCoverage(t *testing.T) {
 		"(spreadnshare/internal/sim.eventHeap).down",
 		"(*spreadnshare/internal/placement.Search).FindDemand",
 		"(*spreadnshare/internal/placement.Search).findDemandCached",
+		"(*spreadnshare/internal/placement.Search).settle",
+		"(*spreadnshare/internal/placement.Search).upkeep",
+		"(*spreadnshare/internal/placement.Search).provenShort",
+		"(*spreadnshare/internal/placement.Search).rememberFailure",
 		"(*spreadnshare/internal/placement.Search).selectIdlest",
 		"(*spreadnshare/internal/placement.Search).takeIdlest",
 		"(*spreadnshare/internal/placement.Search).score",

@@ -35,7 +35,8 @@ type cacheEntry struct {
 // All ordering work happens at search time, where it is amortized over
 // the whole dirty batch and leans on the order the batch already has:
 //
-//   - flush (top of every cached search): the bitset is drained in
+//   - flush (top of every cached search, right after the remembered
+//     failures re-test the dirty nodes): the bitset is drained in
 //     ascending node-id order — its only order — and each dirty node is
 //     rescored once, however many times it was invalidated since the
 //     last search. A node whose (score, bucket) key did not move keeps
@@ -260,6 +261,9 @@ func (c *ScoreCache) live(e cacheEntry, f int, idx *CoreIndex) bool {
 // arrived in, the backend reads walk the capacity arrays sequentially,
 // and each bucket's pending adds are filed id-ascending — sorted
 // already wherever neighbours share a score.
+//
+// Search.settle is the only caller: the search's remembered failures
+// re-test the dirty set before it is drained here (failed.go).
 //
 //sns:hotpath
 func (c *ScoreCache) flush(idx *CoreIndex, score func(id int) float64) {

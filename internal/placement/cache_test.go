@@ -20,11 +20,11 @@ import (
 // ReserveSpan/ReleaseSpan + InvalidateSpan), one searched from scratch
 // and mutated only by per-node Reserve/Release — the ground truth
 // ReserveSpan's doc comment promises to match. The from-scratch search
-// sees its cluster through tableFree, so it also remembers no failures:
-// every answer it gives comes from a walk. Every query must find the two
-// backends in identical state and return the identical node list — the
-// bit-identical-digest contract — and the cache and the remembered
-// failures must pass their audits after every step.
+// has no cache, so it also remembers no failures: every answer it gives
+// comes from a walk. Every query must find the two backends in identical
+// state and return the identical node list — the bit-identical-digest
+// contract — and the cache and the remembered failures must pass their
+// audits after every step.
 type cacheHarness struct {
 	spec   hw.NodeSpec
 	nodes  int
@@ -35,11 +35,6 @@ type cacheHarness struct {
 	held   [][]Reservation
 	spans  [][]heldSpan // each live span reservation, as its runs
 }
-
-// tableFree shows a backend through NodeView alone. The embedded
-// interface promotes none of the backend's other methods, so a Search
-// over it finds no release counter and keeps no remembered failures.
-type tableFree struct{ NodeView }
 
 // heldSpan is one live uniform span reservation awaiting its release,
 // or one run of equal cores of an uneven one.
@@ -68,7 +63,7 @@ func newCacheHarness(nodes int, noGrouping bool) *cacheHarness {
 	h.cached.SetOnChange(h.cs.Cache.Invalidate)
 	h.cached.SetOnSpanChange(h.cs.Cache.InvalidateSpan)
 	h.ps = &Search{
-		View:       tableFree{h.plain},
+		View:       h.plain,
 		Idx:        h.plain.Index(),
 		Spec:       spec,
 		Nodes:      nodes,
@@ -241,10 +236,7 @@ func (h *cacheHarness) query(t *testing.T, n int, d core.Demand) []int {
 // flush drains the cached search's dirty set exactly as the top of a
 // cached FindDemand does, so a test can look at the cache between the
 // flush and the folds a search goes on to make.
-func (h *cacheHarness) flush() {
-	beta := h.cs.beta()
-	h.cs.Cache.flush(h.cs.Idx, func(id int) float64 { return h.cs.score(id, beta) })
-}
+func (h *cacheHarness) flush() { h.cs.settle() }
 
 // pendingAdds counts the entries filed and not yet folded, over every
 // bucket.
@@ -414,28 +406,43 @@ func TestCachedSearchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFailingSearchSteadyStateAllocs is the same gate for the search a
-// standing queue makes: on a cluster whose ways bind everywhere, a node
-// is released and taken again (which loosens every remembered bound by
-// one node), one search walks the whole cluster, fails and overwrites
-// its remembered failure, and a wider one is answered from the table.
-// Nothing is returned, so nothing may be allocated.
+// TestFailingSearchSteadyStateAllocs is the same gate for the searches
+// a standing queue makes: on a cluster whose ways bind everywhere, a
+// node is released (joining the host set of the remembered failure) and
+// a two-node search is answered from the table, then taken again
+// (leaving the set) and a one-node search is answered from it too. In
+// between, one search of a round-robin of more mutually incomparable
+// demands than the table holds walks the whole cluster, fails and takes
+// the place of the widest entry, reusing its bitset. Nothing is
+// returned, so nothing may be allocated.
 func TestFailingSearchSteadyStateAllocs(t *testing.T) {
 	h := newCacheHarness(512, false)
 	for id := 0; id < h.nodes; id++ {
 		h.reserve(id, 2, 18, 10) // 2 ways left
 	}
 	d := core.Demand{Cores: 4, Ways: 4, BW: 10}
+	rotate := func(i int) core.Demand {
+		k := i % (maxFailEntries + 3)
+		return core.Demand{Cores: 4, Ways: 3, BW: units.GBps(20 + k), MemGB: float64(200 - k)}
+	}
 	cycle := func(i int) {
 		id := (i * 37) % h.nodes
 		h.release(id)
-		h.reserve(id, 2, 18, 10)
-		if h.cs.provenShort(1, d) || h.cs.FindDemand(1, d) != nil {
-			t.Fatal("the narrow search did not walk and fail")
-		}
+		h.cs.settle()
 		if !h.cs.provenShort(2, d) || h.cs.FindDemand(2, d) != nil {
-			t.Fatal("the wide search was not answered from the table")
+			t.Fatal("the two-node search was not answered from the table")
 		}
+		h.reserve(id, 2, 18, 10)
+		h.cs.settle()
+		if !h.cs.provenShort(1, d) || h.cs.FindDemand(1, d) != nil {
+			t.Fatal("the one-node search was not answered from the table")
+		}
+		if e := rotate(i); h.cs.provenShort(1, e) || h.cs.FindDemand(1, e) != nil {
+			t.Fatal("the rotating search did not walk and fail")
+		}
+	}
+	if h.cs.FindDemand(1, d) != nil {
+		t.Fatal("4 ways fit on a node with 2 free")
 	}
 	for i := 0; i < 1000; i++ { // warm the bucket lists and the table
 		cycle(i)

@@ -38,11 +38,10 @@ func (s *SimState) ExportCapacity() Capacity {
 
 // ImportCapacity overwrites the float capacity arrays with previously
 // exported state, discarding whatever reservation replay accumulated,
-// invalidates every node's cached score so no stale score survives the
-// overwrite, and counts every node as released (any of them may have
-// gained capacity). Integer state (free cores, ways, intensive counts)
-// is untouched: replay reconstructs it exactly, and the core index
-// depends only on it.
+// and invalidates every node, so no stale score or remembered failure
+// survives the overwrite. Integer state (free cores, ways, intensive
+// counts) is untouched: replay reconstructs it exactly, and the core
+// index depends only on it.
 func (s *SimState) ImportCapacity(c Capacity) error {
 	n := s.Len()
 	if len(c.FreeBW) != n || len(c.FreeMem) != n || len(c.FreeIO) != n {
@@ -52,8 +51,6 @@ func (s *SimState) ImportCapacity(c Capacity) error {
 	copy(s.freeBW, c.FreeBW)
 	copy(s.freeMem, c.FreeMem)
 	copy(s.freeIO, c.FreeIO)
-	// The overwrite may have raised any node's free capacity.
-	s.released += uint64(n)
 	if s.onChange != nil {
 		for id := 0; id < n; id++ {
 			s.onChange(id)

@@ -115,8 +115,9 @@ func EvenSplit(procs, n int) []int {
 // backend supplies capacity reads (View) and the synchronized free-core
 // index (Idx); between calls the Search keeps only reusable buffers,
 // constant tables (core runs, the scale ladders its profiles resolve to)
-// and bounds left by failed walks that hold whatever the cluster does next
-// (failed.go) — never a copy of cluster state.
+// and, beside a score cache, the host sets of failed walks that the
+// cache's dirty set keeps current (failed.go) — never a copy of cluster
+// state.
 //
 // Determinism rules (the golden figure digests depend on them):
 //
@@ -169,10 +170,13 @@ type Search struct {
 	// backing store of every footprint plan's Cores (see repeated).
 	runs map[int][]int
 
-	// failed is the remembered-failure table (failed.go): derived state
-	// like the scratch above, never snapshotted — an empty table only
-	// means the next failing walk is made instead of skipped.
-	failed []failBound
+	// failed is the remembered-failure table of the cached search
+	// (failed.go): derived state like the scratch above, never
+	// snapshotted — an empty table only means the next failing walk is
+	// made instead of skipped. spare holds the host bitsets of dropped
+	// entries for the next new one.
+	failed []failEntry
+	spare  [][]uint64
 
 	// ladders memoises each (profile, alpha) pair's SNS trial order and
 	// per-rung demand (ladder.go): derived from the profile alone, so
@@ -405,13 +409,14 @@ func (s *Search) repeated(v, n int) []int {
 // whole cluster. Within the chosen set it returns the n idlest nodes by
 // the Co + Bo + beta*Wo score. It returns nil when fewer than n qualify.
 //
-// A walk that fails has counted every node that can host the demand, and
-// leaves that count behind (rememberFailure); a query a remembered count
-// already rules out is answered nil before any walk (provenShort).
+// A cached walk that fails has tested every node that can host the
+// demand, and leaves that set behind (rememberFailure); a query a
+// remembered set already rules out is answered nil before any walk
+// (provenShort).
 //
 //sns:hotpath
 func (s *Search) FindDemand(n int, d core.Demand) []int {
-	if n <= 0 || s.provenShort(n, d) {
+	if n <= 0 {
 		return nil
 	}
 	if s.Cache != nil {
@@ -444,7 +449,6 @@ func (s *Search) FindDemand(n int, d core.Demand) []int {
 	}
 	s.scratch.ids = all
 	if len(all) < n {
-		s.rememberFailure(d, len(all))
 		return nil
 	}
 	return s.selectIdlest(all, n)
@@ -467,12 +471,17 @@ func (s *Search) FindDemand(n int, d core.Demand) []int {
 //     cache, where the flush just wrote the bit-identical value the
 //     heap would otherwise recompute.
 //
+// Before any of it, settle drains the dirty set into the remembered
+// failures and the cache, and a query a remembered failure rules out
+// returns nil there.
+//
 //sns:hotpath
 func (s *Search) findDemandCached(n int, d core.Demand) []int {
 	c := s.Cache
-	beta := s.beta()
-	//lint:allocfree the rescore closure does not escape flush; the runtime alloc gate verifies stack allocation
-	c.flush(s.Idx, func(id int) float64 { return s.score(id, beta) })
+	s.settle()
+	if s.provenShort(n, d) {
+		return nil
+	}
 	minFree := d.Cores
 	if minFree < 0 {
 		minFree = 0
@@ -503,7 +512,7 @@ func (s *Search) findDemandCached(n int, d core.Demand) []int {
 	}
 	s.scratch.pairs = all
 	if len(all) < n {
-		s.rememberFailure(d, len(all))
+		s.rememberFailure(d, all)
 		return nil
 	}
 	return s.takeIdlest(all, n)

@@ -20,16 +20,11 @@ type SimState struct {
 	freeIO    []units.GBps
 	intensive []int // running intensive-job count per node (TwoSlot)
 
-	// released counts node-slots ever released: one per Release, one per
-	// node of a ReleaseSpan, the whole cluster per ImportCapacity. It only
-	// grows and reserves never touch it, so between two readings at most
-	// the difference many nodes can have gained capacity — the bound
-	// Search's remembered failures rest on. Anything new that frees
-	// capacity must count here; the invariant auditor recounts against it.
-	released uint64
-
 	// onChange, when set, is called with every node id whose reservation
-	// state changes — the score cache's dirty-set feed.
+	// state changes — the score cache's dirty-set feed, which also keeps
+	// a cached Search's remembered failures exact. Anything new that
+	// changes a node's capacity must fire it; the invariant auditor
+	// re-tests every clean node against both.
 	onChange func(id int)
 
 	// onSpan, when set, receives a span mutation's whole node set in one
@@ -92,11 +87,6 @@ func (s *SimState) MaxFreeCores() int { return s.idx.MaxFree() }
 
 // HasIntensive reports whether the node hosts an intensive job.
 func (s *SimState) HasIntensive(id int) bool { return s.intensive[id] > 0 }
-
-// Released returns the monotone count of node-slots released so far. A
-// Search whose View reports it (see releaseCounter) remembers failed
-// demands across calls.
-func (s *SimState) Released() uint64 { return s.released }
 
 // NodeView.
 
@@ -172,7 +162,6 @@ func (s *SimState) ReserveSpan(ids []int, r Reservation) {
 //sns:hotpath
 func (s *SimState) ReleaseSpan(ids []int, r Reservation) {
 	s.applySpan(ids, r, -1)
-	s.released += uint64(len(ids))
 	s.notifySpan(ids)
 }
 
@@ -236,7 +225,6 @@ func (s *SimState) Release(id int, r Reservation) {
 	if r.Intensive {
 		s.intensive[id]--
 	}
-	s.released++
 	if s.onChange != nil {
 		s.onChange(id)
 	}

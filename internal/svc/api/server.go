@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -409,8 +410,9 @@ type daemonSnapshot struct {
 	Core    json.RawMessage `json:"core"`
 }
 
-// writeSnapshot persists daemon state atomically (temp file + rename).
-// Only the scheduler goroutine calls it, so the core is quiescent.
+// writeSnapshot persists daemon state atomically and durably (see
+// replaceFile). Only the scheduler goroutine calls it, so the core is
+// quiescent.
 func (s *Server) writeSnapshot(now float64) error {
 	var core bytes.Buffer
 	if err := s.cfg.Core.Snapshot(&core); err != nil {
@@ -426,11 +428,48 @@ func (s *Server) writeSnapshot(now float64) error {
 	if err != nil {
 		return err
 	}
-	tmp := s.cfg.SnapshotPath + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	return replaceFile(s.cfg.SnapshotPath, raw)
+}
+
+// replaceFile puts raw at path so that a crash at any point leaves
+// either the old file or the whole new one under that name: the bytes go
+// to path.tmp and are synced before the rename, and the directory is
+// synced after it so the rename itself survives. On any error the
+// temporary file is removed; an error before the rename leaves the old
+// file, if any, untouched.
+func replaceFile(path string, raw []byte) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.cfg.SnapshotPath)
+	defer func() {
+		if err != nil {
+			_ = f.Close() // already closed past the sync; the error that counts is err
+			_ = os.Remove(tmp)
+		}
+	}()
+	if _, err = f.Write(raw); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	if err = dir.Sync(); err != nil {
+		_ = dir.Close()
+		return err
+	}
+	return dir.Close()
 }
 
 // ---- middleware ----

@@ -402,6 +402,101 @@ func TestRestartNoLostOps(t *testing.T) {
 	}
 }
 
+// TestWriteSnapshotFailedRenameLeavesNoTemp points the snapshot path at
+// an existing directory, so the final rename fails: writeSnapshot must
+// say so and leave no temporary file beside it.
+func TestWriteSnapshotFailedRenameLeavesNoTemp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snsd.snapshot")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	db, node := testDB(t)
+	core, err := svc.New(svc.Config{Node: node, Nodes: 8, Policy: placement.SNS, MaxScale: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Core: core, Model: svc.PolicyRuntime(placement.SNS, node), DB: db, SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.writeSnapshot(0); err == nil {
+		t.Fatal("writeSnapshot over a directory succeeded")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("a failed snapshot left %s.tmp behind (stat: %v)", path, err)
+	}
+}
+
+// TestSnapshotEndpointFailureKeepsLastSnapshot: a checkpoint that cannot
+// be written answers 500 and leaves no temporary file — whether the
+// rename fails (the path is a directory) or the temporary file cannot be
+// created — and the snapshot written before the failure still restores.
+func TestSnapshotEndpointFailureKeepsLastSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	t.Run("path is a directory", func(t *testing.T) {
+		path := filepath.Join(dir, "is-a-dir")
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		_, c, _ := startDaemon(t, 16, path)
+		var se *StatusError
+		if err := c.Snapshot(); !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
+			t.Fatalf("snapshot over a directory = %v, want 500", err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("a failed snapshot left %s.tmp behind (stat: %v)", path, err)
+		}
+	})
+	t.Run("earlier snapshot survives", func(t *testing.T) {
+		path := filepath.Join(dir, "snsd.snapshot")
+		srv, c, db := startDaemon(t, 16, path)
+		id, err := c.SubmitWait(mgSpec("kept", 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.SubmitWait(mgSpec("lost", 2)); err != nil {
+			t.Fatal(err)
+		}
+		// A directory where the temporary file goes makes the next
+		// checkpoint fail before it touches the snapshot.
+		if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		var se *StatusError
+		if err := c.Snapshot(); !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
+			t.Fatalf("snapshot with its temporary file blocked = %v, want 500", err)
+		}
+		if err := srv.Shutdown(); err == nil {
+			t.Fatal("the shutdown snapshot succeeded with its temporary file blocked")
+		}
+		restored, err := Load(Config{
+			Model:        svc.PolicyRuntime(placement.SNS, hw.DefaultClusterSpec().Node),
+			DB:           db,
+			Timescale:    10000,
+			SnapshotPath: path,
+		}, db)
+		if err != nil {
+			t.Fatalf("the snapshot written before the failures does not restore: %v", err)
+		}
+		restored.Start()
+		ts := httptest.NewServer(restored)
+		defer func() {
+			ts.Close()
+			restored.Shutdown()
+		}()
+		c2 := NewClient(ts.URL)
+		if v, err := c2.JobByName("kept"); err != nil || v.ID != id {
+			t.Errorf("job kept = %+v, %v; want id %d", v, err, id)
+		}
+		if _, err := c2.JobByName("lost"); err == nil {
+			t.Error("a job submitted after the last good snapshot was restored")
+		}
+	})
+}
+
 func names(i int) string {
 	return "persist-" + string(rune('a'+i/10)) + string(rune('0'+i%10))
 }
