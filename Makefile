@@ -60,15 +60,18 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 20s ./internal/sim
 
 # smoke runs the end-to-end scheduler-as-a-service test: daemon up, load
-# through the REST API, SIGTERM with snapshot, restore, dedup replay.
+# through the REST API, SIGTERM with snapshot, restore, dedup replay;
+# then every examples/* main, which must exit 0.
 smoke:
 	scripts/smoke.sh
 
 # loc prints the non-test, non-testdata Go line counts ROADMAP's line
-# budget (item 6) is counted from: kernel, service core, daemon, second
-# scheduler, guard layer, auditor, benchmark. Nothing fails on it.
+# budget (item 6) is counted from: kernel, service core, daemon, replay,
+# event queue, second scheduler, guard layer, auditor, benchmark.
+# Nothing fails on it.
 loc:
 	@for d in internal/placement internal/svc internal/svc/api \
+		internal/trace internal/sim \
 		"internal/sched internal/cluster" internal/lint internal/invariant bench; do \
 		printf '%-32s %6d\n' "$$d" $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done

@@ -10,8 +10,8 @@ import (
 // Confine enforces goroutine confinement: state annotated with
 // //sns:owner <name> — whole types ("//sns:owner core" on svc.Cluster)
 // or individual struct fields ("//sns:owner scheduler" on the daemon's
-// finish heap) — may be reached only from code proven to execute on the
-// named owner goroutine.
+// admission driver) — may be reached only from code proven to execute on
+// the named owner goroutine.
 //
 // The proof is an interprocedural fixpoint over owner sets. Trusted
 // roots are annotated by hand:

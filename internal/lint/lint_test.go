@@ -209,7 +209,7 @@ func TestConcurrencyAnnotationCoverage(t *testing.T) {
 		}
 	}
 	wantOwnedFields := map[string]string{
-		"spreadnshare/internal/svc/api.Server.fin":     "scheduler",
+		"spreadnshare/internal/svc/api.Server.drv":     "scheduler",
 		"spreadnshare/internal/svc/api.Server.stopErr": "scheduler",
 	}
 	for key, owner := range wantOwnedFields {
@@ -227,7 +227,7 @@ func TestConcurrencyAnnotationCoverage(t *testing.T) {
 	wantMarked := map[string][]string{
 		"sns:goroutine": {
 			"(*spreadnshare/internal/svc/api.Server).run",
-			"spreadnshare/internal/trace.simulate",
+			"spreadnshare/internal/trace.Simulate",
 		},
 		"sns:dispatch": {
 			"(*spreadnshare/internal/svc/api.Server).exec",

@@ -246,6 +246,22 @@ func (q *Queue) Step() bool {
 	return false
 }
 
+// Next returns the time of the earliest pending event without firing
+// it, reclaiming any cancelled events at the head on the way; false
+// means the queue is empty.
+//
+//sns:hotpath
+func (q *Queue) Next() (float64, bool) {
+	for len(q.h) > 0 && q.h[0].cancelled {
+		q.dead--
+		q.release(q.h.pop())
+	}
+	if len(q.h) == 0 {
+		return 0, false
+	}
+	return q.h[0].Time, true
+}
+
 // Run drives the queue until empty or until the clock passes horizon
 // (horizon <= 0 means no limit). It returns the number of events fired.
 //
@@ -254,12 +270,7 @@ func (q *Queue) Run(horizon float64) int {
 	fired := 0
 	for len(q.h) > 0 {
 		if horizon > 0 {
-			// Peek: skip cancelled heads without firing.
-			for len(q.h) > 0 && q.h[0].cancelled {
-				q.dead--
-				q.release(q.h.pop())
-			}
-			if len(q.h) == 0 || q.h[0].Time > horizon {
+			if t, ok := q.Next(); !ok || t > horizon {
 				break
 			}
 		}

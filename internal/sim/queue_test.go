@@ -63,6 +63,24 @@ func TestQueueCancel(t *testing.T) {
 	q.Cancel(nil) // must not panic
 }
 
+// TestQueueNext: the peek reports the earliest live event, skipping a
+// cancelled head, and fires nothing.
+func TestQueueNext(t *testing.T) {
+	var q Queue
+	if _, ok := q.Next(); ok {
+		t.Fatal("empty queue reported a next event")
+	}
+	e := q.At(1, func() { t.Error("cancelled event fired") })
+	q.At(3, func() {})
+	q.Cancel(e)
+	if at, ok := q.Next(); !ok || at != 3 {
+		t.Fatalf("Next() = %g, %v; want 3, true", at, ok)
+	}
+	if q.Len() != 1 || q.Now() != 0 {
+		t.Fatalf("Next fired or lost an event: Len %d, Now %g", q.Len(), q.Now())
+	}
+}
+
 // TestQueuePastPanics: a time before the clock, or NaN, which orders
 // against no time, cannot be scheduled.
 func TestQueuePastPanics(t *testing.T) {

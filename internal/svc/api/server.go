@@ -12,10 +12,10 @@ package api
 
 import (
 	"bytes"
-	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -88,10 +88,10 @@ type Server struct {
 	// clock is written only during construction (//sns:ownerinit); after
 	// Start it is read-only, so handlers may stamp ops with clock.now().
 	clock clock
-	// fin is the completion heap, owned by the scheduler goroutine.
+	// drv owns the core's pending completions and the admission rule.
 	//
 	//sns:owner scheduler
-	fin finishHeap
+	drv *svc.Driver
 	// stopErr is written by the scheduler goroutine during drainAndStop;
 	// Shutdown reads it only after <-done orders the write before it.
 	//
@@ -104,15 +104,24 @@ type clock struct {
 	start time.Time
 	base  float64
 	scale float64
+	// test, set by an in-package test before Start, replaces the wall
+	// so the test steps virtual time itself; it must be safe for
+	// concurrent calls.
+	test func() float64
 }
 
 func (c clock) now() float64 {
+	if c.test != nil {
+		return c.test()
+	}
 	return c.base + time.Since(c.start).Seconds()*c.scale
 }
 
 // New builds a daemon over a fresh (or externally prepared) core. It
 // runs before the scheduler goroutine exists, so it may touch the core
-// and the scheduler state freely.
+// and the scheduler state freely. Running jobs of a core handed over
+// mid-flight (Load, or a caller that pre-ran rounds) have their
+// completions filed in job-ID order.
 //
 //sns:ownerinit
 func New(cfg Config) (*Server, error) {
@@ -134,15 +143,12 @@ func New(cfg Config) (*Server, error) {
 			scale: cfg.Timescale,
 		},
 	}
-	// Cores handed over mid-flight (Load, or a caller that pre-ran
-	// rounds) carry running jobs whose completions must still fire, and
-	// the virtual clock must resume past every timestamp already dealt
-	// out — but not past running jobs' predicted finishes, which are
+	s.drv = svc.NewDriver(cfg.Core, cfg.Model)
+	// The virtual clock resumes past every timestamp already dealt out —
+	// but not past running jobs' predicted finishes, which are
 	// legitimately in the future.
 	cfg.Core.Each(func(j *svc.Job) {
-		if j.State == svc.Running {
-			heap.Push(&s.fin, finishEntry{id: j.ID, finish: j.FinishSec})
-		} else if j.FinishSec > s.clock.base {
+		if j.State != svc.Running && j.FinishSec > s.clock.base {
 			s.clock.base = j.FinishSec
 		}
 		if j.SubmitSec > s.clock.base {
@@ -229,30 +235,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // ---- scheduler goroutine ----
 
-// finishEntry orders running jobs by predicted completion; ties break by
-// job ID so completion order is deterministic.
-type finishEntry struct {
-	id     int
-	finish float64
-}
-
-type finishHeap []finishEntry
-
-func (h finishHeap) Len() int { return len(h) }
-func (h finishHeap) Less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
-	}
-	return h[i].id < h[j].id
-}
-func (h finishHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *finishHeap) Push(x any)   { *h = append(*h, x.(finishEntry)) }
-func (h *finishHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
 // run is the scheduler goroutine: the one context that owns the core
-// and the completion heap. The annotation is the trust root the confine
-// pass builds its proof from; Start spawning exactly this function is
-// what makes it true.
+// and its driver, and the daemon's input source for svc.Driver. A
+// command burst is an arrival at its wake time: completions before it
+// fire first, each with its round, and one round follows the burst. A
+// timer wake only fires the completions due through its time. The
+// annotation is the trust root the confine pass builds its proof from;
+// Start spawning exactly this function is what makes it true.
 //
 //sns:goroutine scheduler core
 func (s *Server) run() {
@@ -260,13 +249,14 @@ func (s *Server) run() {
 	for {
 		var timerC <-chan time.Time
 		var timer *time.Timer
-		if len(s.fin) > 0 {
-			timer = time.NewTimer(timerDelay(s.fin[0].finish-s.clock.now(), s.cfg.Timescale))
+		if next, ok := s.drv.Next(); ok {
+			timer = time.NewTimer(timerDelay(next-s.clock.now(), s.cfg.Timescale))
 			timerC = timer.C
 		}
 		select {
 		case cmd := <-s.cmds:
 			now := s.clock.now()
+			s.drv.Advance(now)
 			cmd(now)
 			// Drain the burst: every mutation already accepted joins
 			// this round, so a thousand concurrent submissions cost one
@@ -279,12 +269,10 @@ func (s *Server) run() {
 					n = s.cfg.MaxBatch
 				}
 			}
-			s.completeDue(now)
-			s.round(now)
+			s.drv.Round(now)
 		case <-timerC:
-			now := s.clock.now()
-			s.completeDue(now)
-			s.round(now)
+			// A wake is not an arrival: no round beyond the completions'.
+			s.drv.Advance(math.Nextafter(s.clock.now(), math.Inf(1)))
 		case <-s.quit:
 			if timer != nil {
 				timer.Stop()
@@ -300,7 +288,7 @@ func (s *Server) run() {
 
 // maxTimerDelay is the longest run sleeps on one arming of its completion
 // timer. The loop re-arms after every wake, so a completion further off
-// costs one idle round per ceiling, and the ceiling keeps the conversion
+// costs one idle wake per ceiling, and the ceiling keeps the conversion
 // below inside time.Duration's range.
 const maxTimerDelay = time.Hour
 
@@ -321,35 +309,11 @@ func timerDelay(virtualSec, timescale float64) time.Duration {
 	return 0
 }
 
-// completeDue fires every completion at or before the virtual now, in
-// the heap's (finish, id) order; the caller runs the one admission round
-// afterwards. Jobs complete at their predicted horizon (not the
-// wall-derived now), so the recorded finish times match what a
-// simulation of the same stream produces.
-func (s *Server) completeDue(now float64) {
-	for len(s.fin) > 0 && s.fin[0].finish <= now {
-		e := heap.Pop(&s.fin).(finishEntry)
-		j, ok := s.cfg.Core.Job(e.id)
-		if !ok || j.State != svc.Running {
-			continue // cancelled while running: already released
-		}
-		if err := s.cfg.Core.Complete(e.id, e.finish); err != nil {
-			panic(err) // the heap only holds running jobs
-		}
-	}
-}
-
-// round runs one admission round and arms completions for its placements.
-func (s *Server) round(now float64) {
-	for _, j := range s.cfg.Core.ScheduleRound(now, s.cfg.Model) {
-		heap.Push(&s.fin, finishEntry{id: j.ID, finish: j.FinishSec})
-	}
-}
-
 // drainAndStop applies every accepted mutation, runs a final round,
 // snapshots, and closes the core.
 func (s *Server) drainAndStop() {
 	now := s.clock.now()
+	s.drv.Advance(now)
 	for {
 		select {
 		case cmd := <-s.cmds:
@@ -359,8 +323,7 @@ func (s *Server) drainAndStop() {
 		}
 		break
 	}
-	s.completeDue(now)
-	s.round(now)
+	s.drv.Round(now)
 	if s.cfg.SnapshotPath != "" {
 		s.stopErr = s.writeSnapshot(now)
 	}

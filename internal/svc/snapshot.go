@@ -170,6 +170,9 @@ func Restore(r io.Reader, db *profiler.DB) (*Cluster, error) {
 		j.req = c.buildReq(&j.Spec)
 		c.jobs = append(c.jobs, j)
 		if spec.Name != "" {
+			if id, taken := c.byName[spec.Name]; taken {
+				return nil, fmt.Errorf("svc: snapshot jobs %d and %d share the name %q", id, j.ID, spec.Name)
+			}
 			c.byName[spec.Name] = j.ID
 		}
 		c.counts[j.State]++
@@ -189,11 +192,16 @@ func Restore(r io.Reader, db *profiler.DB) (*Cluster, error) {
 			return nil, fmt.Errorf("svc: restoring capacity: %w", err)
 		}
 	}
+	queued := make([]bool, len(c.jobs))
 	for _, it := range s.Queue {
 		j, ok := c.Job(it.ID)
 		if !ok || j.State != Queued {
 			return nil, fmt.Errorf("svc: snapshot queues job %d, which is not a queued job", it.ID)
 		}
+		if queued[it.ID] {
+			return nil, fmt.Errorf("svc: snapshot queues job %d twice", it.ID)
+		}
+		queued[it.ID] = true
 		c.pending.Push(it.ID, it.Submit, it.Priority, it.Order)
 	}
 	if q := c.pending.Len(); q != c.counts[Queued] {
@@ -207,8 +215,12 @@ func Restore(r io.Reader, db *profiler.DB) (*Cluster, error) {
 // held to what launch could have written before the state sees it — the
 // kernel panics on a core count it cannot index, and Restore's contract
 // is an error. Each node is checked against the cores still free when
-// its turn comes, which also covers a node listed twice.
+// its turn comes, which also covers a node listed twice. The finish must
+// be a time a Driver can file, which NaN and negative times are not.
 func (c *Cluster) reapply(j *Job, rec *jobRecord) error {
+	if !(j.FinishSec >= 0) {
+		return fmt.Errorf("svc: snapshot job %d runs until %g s", j.ID, j.FinishSec)
+	}
 	if res := rec.Res; !j.uniform {
 		if len(res) != len(j.Nodes) || len(res) == 0 {
 			return fmt.Errorf("svc: snapshot job %d has %d reservations for %d nodes", j.ID, len(res), len(j.Nodes))

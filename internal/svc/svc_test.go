@@ -491,10 +491,11 @@ func TestSnapshotRestoreRejectsCorruption(t *testing.T) {
 	good := buf.String()
 
 	cases := map[string]string{
-		"garbage":       "not json",
-		"version":       strings.Replace(good, `"version":1`, `"version":99`, 1),
-		"sparse ids":    strings.Replace(good, `"id":0`, `"id":7`, 1),
-		"foreign nodes": strings.Replace(good, `"nodes":[`, `"nodes":[9999,`, 1),
+		"garbage":                 "not json",
+		"version":                 strings.Replace(good, `"version":1`, `"version":99`, 1),
+		"sparse ids":              strings.Replace(good, `"id":0`, `"id":7`, 1),
+		"foreign nodes":           strings.Replace(good, `"nodes":[`, `"nodes":[9999,`, 1),
+		"finish before the clock": strings.Replace(good, `"finish_sec":`, `"finish_sec":-`, 1),
 	}
 	for name, doc := range cases {
 		if doc == good {
@@ -511,6 +512,46 @@ func TestSnapshotRestoreRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Restore(strings.NewReader(good), db); err != nil {
 		t.Errorf("Restore of pristine snapshot failed: %v", err)
+	}
+
+	// A queue that lists one job twice keeps the other queued job out of
+	// the queue forever, and two jobs under one name make JobByName
+	// answer for the later; both counts still agree, so each needs its
+	// own check. Job 0 holds all four CE nodes, jobs 1 and 2 wait.
+	ce, _, _ := testCore(t, placement.CE, 4)
+	for i, name := range []string{"a", "b", "c"} {
+		s := spec(nil, "MG", 4, 100)
+		s.Name = name
+		if _, err := ce.Submit(s, 0); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			ce.ScheduleRound(0, PolicyRuntime(placement.CE, ce.Config().Node))
+		}
+	}
+	buf.Reset()
+	if err := ce.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(*snapshot){
+		"queue lists a job twice": func(s *snapshot) { s.Queue[1].ID = s.Queue[0].ID },
+		"two jobs share a name":   func(s *snapshot) { s.Jobs[2].Spec.Name = s.Jobs[1].Spec.Name },
+	} {
+		var doc snapshot
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&doc)
+		raw, err := json.Marshal(&doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(bytes.NewReader(raw), nil); err == nil {
+			t.Errorf("Restore of a snapshot whose %s succeeded, want error", name)
+		}
+	}
+	if _, err := Restore(bytes.NewReader(buf.Bytes()), nil); err != nil {
+		t.Errorf("Restore of pristine CE snapshot failed: %v", err)
 	}
 }
 

@@ -18,54 +18,6 @@ func burstyTrace(seed int64, jobs int, stepSec float64) []Job {
 	return t
 }
 
-// TestSimulateBatchedEquivalence is the acceptance gate for batched
-// admission: replaying a bursty trace through single rounds per burst
-// must be bit-identical to a round per submission, at every batch size.
-func TestSimulateBatchedEquivalence(t *testing.T) {
-	db, node := traceDB(t)
-	jobs := burstyTrace(41, 400, 1800) // ~48 bursts of ~8 jobs
-	for _, pol := range []Policy{CE, SNS, TwoSlot} {
-		cfg := DefaultSimConfig(128, pol)
-		want, err := Simulate(jobs, db, node, cfg)
-		if err != nil {
-			t.Fatalf("%v serial: %v", pol, err)
-		}
-		for _, batch := range []int{1, 64, 4096} {
-			got, err := SimulateBatched(jobs, db, node, cfg, batch)
-			if err != nil {
-				t.Fatalf("%v batch %d: %v", pol, batch, err)
-			}
-			for i := range want.Jobs {
-				a, b := want.Jobs[i], got.Jobs[i]
-				if a.Start != b.Start || a.Finish != b.Finish || a.Scale != b.Scale || a.NodesUsed != b.NodesUsed { //lint:floateq bit-identity is the contract under test
-					t.Fatalf("%v batch %d job %d diverges: serial {%g %g %d %d}, batched {%g %g %d %d}",
-						pol, batch, i, a.Start, a.Finish, a.Scale, a.NodesUsed,
-						b.Start, b.Finish, b.Scale, b.NodesUsed)
-				}
-				for k := range a.Nodes {
-					if a.Nodes[k] != b.Nodes[k] {
-						t.Fatalf("%v batch %d job %d node sets diverge: %v vs %v",
-							pol, batch, i, a.Nodes, b.Nodes)
-					}
-				}
-			}
-			if want.Makespan != got.Makespan || want.AvgWait != got.AvgWait { //lint:floateq bit-identity is the contract under test
-				t.Fatalf("%v batch %d summaries diverge", pol, batch)
-			}
-		}
-	}
-}
-
-func TestSimulateBatchedRejectsBadBatch(t *testing.T) {
-	db, node := traceDB(t)
-	jobs := burstyTrace(41, 10, 600)
-	for _, batch := range []int{0, -3} {
-		if _, err := SimulateBatched(jobs, db, node, DefaultSimConfig(64, CE), batch); err == nil {
-			t.Errorf("batch %d accepted", batch)
-		}
-	}
-}
-
 func TestSimConfigValidate(t *testing.T) {
 	db, node := traceDB(t)
 	jobs := burstyTrace(7, 10, 600)

@@ -8,7 +8,6 @@ import (
 	"spreadnshare/internal/hw"
 	"spreadnshare/internal/placement"
 	"spreadnshare/internal/profiler"
-	"spreadnshare/internal/sim"
 	"spreadnshare/internal/stats"
 	"spreadnshare/internal/svc"
 )
@@ -65,9 +64,9 @@ func DefaultSimConfig(nodes int, p Policy) SimConfig {
 
 // Validate checks a replay configuration against its inputs and node
 // type, returning a descriptive error for the first problem found.
-// Simulate, SimulateBatched, and SimulateAll all call it before touching
-// any state, so a bad config in a parallel fan-out fails fast with its
-// own message instead of a mid-replay panic.
+// Simulate (and so SimulateAll) calls it before touching any state, so
+// a bad config in a parallel fan-out fails fast with its own message
+// instead of a mid-replay panic.
 func (cfg SimConfig) Validate(jobs []Job, db *profiler.DB, node hw.NodeSpec) error {
 	if cfg.ClusterNodes <= 0 {
 		return fmt.Errorf("trace: cluster needs nodes, got %d", cfg.ClusterNodes)
@@ -129,51 +128,20 @@ type Result struct {
 	WaitP50, WaitP90, WaitP99 float64
 }
 
-// simulator drives the extracted live scheduler core (internal/svc) with
-// a discrete-event clock: submission events admit jobs, completion
-// events release them, and every event runs one admission round. All
-// placement, reservation, queue, and audit logic lives in the core — the
-// replay owns only the clock, the runtime model, and the summaries.
-type simulator struct {
-	q     *sim.Queue
-	core  *svc.Cluster
-	model svc.RuntimeModel
-	// outs maps a core job ID (admission order) to its output record
-	// (trace slice order); the two orders differ when a trace file is
-	// not submit-sorted.
-	outs []*SimJob
-}
-
 // Simulate replays a mapped trace on a cluster of the given node type.
 // Every job's program must be mapped, and — for every policy but CE,
 // whose runtime is the trace runtime — profiled in db at the configured
-// per-node process count. Each submission runs its own admission round;
-// SimulateBatched coalesces same-time bursts and produces bit-identical
-// results.
-func Simulate(jobs []Job, db *profiler.DB, node hw.NodeSpec, cfg SimConfig) (*Result, error) {
-	return simulate(jobs, db, node, cfg, 1)
-}
-
-// SimulateBatched replays like Simulate but drains submission bursts —
-// runs of consecutive jobs sharing one submission timestamp — into
-// single admission rounds of at most batch jobs each. By the core's
-// batched-admission invariant the placements, start/finish times, and
-// summaries are bit-identical to Simulate at any batch size; only the
-// number of queue passes (and therefore the replay cost under heavy
-// bursts) changes.
-func SimulateBatched(jobs []Job, db *profiler.DB, node hw.NodeSpec, cfg SimConfig, batch int) (*Result, error) {
-	if batch < 1 {
-		return nil, fmt.Errorf("trace: batch size must be >= 1, got %d", batch)
-	}
-	return simulate(jobs, db, node, cfg, batch)
-}
-
-// simulate constructs a private core and drives it from one
-// discrete-event loop on the calling goroutine — nothing escapes, so
-// the whole replay is a legitimate "core" owner context.
+// per-node process count.
+//
+// The replay is one of svc.Driver's two input sources (the daemon is
+// the other): arrivals in submission order, each after the completions
+// before it and followed by its own admission round. All placement,
+// queue, completion and audit logic lives in svc; the replay owns the
+// arrival stream and the summaries. Its private core never leaves the
+// calling goroutine, so the whole replay is a "core" owner context.
 //
 //sns:goroutine core
-func simulate(jobs []Job, db *profiler.DB, node hw.NodeSpec, cfg SimConfig, batch int) (*Result, error) {
+func Simulate(jobs []Job, db *profiler.DB, node hw.NodeSpec, cfg SimConfig) (*Result, error) {
 	if err := cfg.Validate(jobs, db, node); err != nil {
 		return nil, err
 	}
@@ -190,12 +158,6 @@ func simulate(jobs []Job, db *profiler.DB, node hw.NodeSpec, cfg SimConfig, batc
 		return nil, err
 	}
 	defer core.Close()
-	s := &simulator{
-		q:     &sim.Queue{},
-		core:  core,
-		model: svc.PolicyRuntime(cfg.Policy, node),
-		outs:  make([]*SimJob, 0, len(jobs)),
-	}
 	res := &Result{Policy: cfg.Policy}
 	// Build every job's spec (and fail on unplaceable or unprofiled
 	// jobs) before the clock starts.
@@ -234,40 +196,37 @@ func simulate(jobs []Job, db *profiler.DB, node hw.NodeSpec, cfg SimConfig, batc
 			Intensive:    cfg.Policy == TwoSlot && svc.BWIntensive(prof, node),
 		}
 	}
-	// One submission event per burst: consecutive jobs sharing a
-	// submission timestamp coalesce, up to the batch cap. Simulate runs
-	// with batch 1, which degenerates to one event (and one admission
-	// round) per job.
-	for lo := 0; lo < len(jobs); {
-		hi := lo + 1
-		//lint:floateq exact timestamp equality defines a burst; near-equal submits are distinct events
-		for hi < len(jobs) && hi-lo < batch && jobs[hi].SubmitSec == jobs[lo].SubmitSec {
-			hi++
-		}
-		chunk := specs[lo:hi]
-		recs := res.Jobs[lo:hi]
-		s.q.At(jobs[lo].SubmitSec, func() {
-			now := s.q.Now()
-			for i := range chunk {
-				if _, err := s.core.Submit(chunk[i], now); err != nil {
-					// Specs were validated above; a core rejection here
-					// is a programming error.
-					panic(err)
-				}
-				s.outs = append(s.outs, recs[i])
-			}
-			s.schedule()
-		})
-		lo = hi
+	// order[id] is the trace index of core job id: admission follows
+	// submission time, ties in trace order (a trace file need not be
+	// submit-sorted).
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
 	}
-	s.q.Run(0)
-	if n := s.core.QueuedLen(); n > 0 {
-		first, _ := s.core.FirstQueued()
-		tj := s.outs[first.ID].Trace
+	sort.SliceStable(order, func(a, b int) bool { return jobs[order[a]].SubmitSec < jobs[order[b]].SubmitSec })
+	d := svc.NewDriver(core, svc.PolicyRuntime(cfg.Policy, node))
+	for _, i := range order {
+		t := jobs[i].SubmitSec
+		d.Advance(t)
+		if _, err := core.Submit(specs[i], t); err != nil {
+			// Specs were validated above; a core rejection here is a
+			// programming error.
+			panic(err)
+		}
+		d.Round(t)
+	}
+	d.Advance(math.Inf(1))
+	if n := core.QueuedLen(); n > 0 {
+		first, _ := core.FirstQueued()
+		tj := jobs[order[first.ID]]
 		return nil, fmt.Errorf(
 			"trace: %d jobs never placed under %s (first stuck: job %d wants %d nodes × %d cores, max free is %d cores/node)",
-			n, cfg.Policy, tj.ID, tj.Nodes, cfg.CoresPerJobNode, s.core.MaxFreeCores())
+			n, cfg.Policy, tj.ID, tj.Nodes, cfg.CoresPerJobNode, core.MaxFreeCores())
 	}
+	core.Each(func(j *svc.Job) {
+		out := res.Jobs[order[j.ID]]
+		out.Start, out.Finish, out.Scale, out.NodesUsed, out.Nodes = j.StartSec, j.FinishSec, j.Scale, j.NodesUsed, j.Nodes
+	})
 	// Summaries.
 	waits := make([]float64, len(res.Jobs))
 	runs := make([]float64, len(res.Jobs))
@@ -288,25 +247,4 @@ func simulate(jobs []Job, db *profiler.DB, node hw.NodeSpec, cfg SimConfig, batc
 	res.WaitP90 = stats.Percentile(sorted, 0.9)
 	res.WaitP99 = stats.Percentile(sorted, 0.99)
 	return res, nil
-}
-
-// schedule runs one core admission round at the current clock and
-// registers a completion event for every job placed.
-func (s *simulator) schedule() {
-	now := s.q.Now()
-	for _, j := range s.core.ScheduleRound(now, s.model) {
-		out := s.outs[j.ID]
-		out.Start = j.StartSec
-		out.Finish = j.FinishSec
-		out.Scale = j.Scale
-		out.NodesUsed = j.NodesUsed
-		out.Nodes = j.Nodes
-		id := j.ID
-		s.q.At(j.FinishSec, func() {
-			if err := s.core.Complete(id, s.q.Now()); err != nil {
-				panic(err)
-			}
-			s.schedule()
-		})
-	}
 }

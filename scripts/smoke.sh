@@ -5,9 +5,10 @@
 # through the async REST API, kills the daemon with SIGTERM mid-state
 # (snapshot on shutdown), restarts it with -restore, and replays the
 # same stream: every retried submission must deduplicate against its
-# pre-restart job, and new work must still flow. Exits non-zero on any
-# lost job, duplicated job, failed submission, leaked goroutine, or if
-# the whole run exceeds the watchdog timeout.
+# pre-restart job, and new work must still flow. Then runs every
+# examples/* program. Exits non-zero on any lost job, duplicated job,
+# failed submission, leaked goroutine, failing example, or if the whole
+# run exceeds the watchdog timeout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -111,5 +112,17 @@ echo "== smoke: clean shutdown =="
 kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID"
 DAEMON_PID=""
+
+echo "== smoke: examples =="
+for ex in examples/*/; do
+	ex="${ex%/}"
+	go build -o "$WORK/example" "./$ex"
+	"$WORK/example" >"$WORK/example.out" 2>&1 || {
+		echo "smoke: $ex exited non-zero:" >&2
+		cat "$WORK/example.out" >&2
+		exit 1
+	}
+	echo "smoke: $ex ok"
+done
 
 echo "smoke: OK"
