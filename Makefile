@@ -33,9 +33,10 @@ bench-module:
 # and leave the benchmark module building and passing.
 check: build vet lint race bench-module
 
-# fuzz-smoke runs the seven fuzzers for real, 20 s each: the two
+# fuzz-smoke runs the eight fuzzers for real, 20 s each: the two
 # snapshot fuzzers, the search fuzzer, the remembered-failure fuzzer,
-# the sort fuzzer, the span-update fuzzer and the event-queue fuzzer.
+# the sort fuzzer, the span-update fuzzer, the baseline-plan fuzzer and
+# the event-queue fuzzer.
 # Plain go test only replays their seed corpora, which cannot reach a
 # document, a mutation schedule or a run pattern no one has written
 # down yet.
@@ -45,10 +46,12 @@ check: build vet lint race bench-module
 # queries fail, where the remembered failures do their work; FuzzSortRuns
 # drives the cache's run-merge sort against slices.SortFunc;
 # FuzzIndexUpdateSpan drives the core index's word-batched span update
-# against the per-node Update loop; FuzzQueueOrder drives the event
+# against the per-node Update loop; FuzzTwoSlotPlan drives the CE, CS
+# and TwoSlot plans against the candidate-and-merge bodies they
+# replaced; FuzzQueueOrder drives the event
 # heap through exact time ties, cancellations and compaction against a
 # stable sort by (time, insertion order). One fuzz target per go test
-# invocation is the toolchain's rule. Not part of check (two and a half
+# invocation is the toolchain's rule. Not part of check (nearly three
 # minutes of mutation on top).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreCorrupt -fuzztime 20s ./internal/svc
@@ -57,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRememberedFailures -fuzztime 20s ./internal/placement
 	$(GO) test -run '^$$' -fuzz FuzzSortRuns -fuzztime 20s ./internal/placement
 	$(GO) test -run '^$$' -fuzz FuzzIndexUpdateSpan -fuzztime 20s ./internal/placement
+	$(GO) test -run '^$$' -fuzz FuzzTwoSlotPlan -fuzztime 20s ./internal/placement
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 20s ./internal/sim
 
 # smoke runs the end-to-end scheduler-as-a-service test: daemon up, load

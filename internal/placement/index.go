@@ -131,6 +131,23 @@ func (x *CoreIndex) UpdateSpan(ids []int, delta int) {
 	}
 }
 
+// Take fills out with the lowest ids of the nodes with exactly `free`
+// free cores, in ascending order, and returns how many it wrote: len(out)
+// or the bucket's population, whichever is smaller.
+//
+//sns:hotpath
+func (x *CoreIndex) Take(free int, out []int) int {
+	out = out[:min(len(out), x.counts[free])]
+	n := 0
+	for w := 0; n < len(out); w++ {
+		for word := x.buckets[free][w]; word != 0 && n < len(out); word &= word - 1 {
+			out[n] = w<<6 + bits.TrailingZeros64(word)
+			n++
+		}
+	}
+	return n
+}
+
 // Scan visits the nodes with exactly `free` free cores in ascending id
 // order, stopping early (and returning false) when fn returns false.
 // The index must not be mutated during a scan.

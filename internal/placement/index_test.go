@@ -36,6 +36,31 @@ func TestCoreIndexUpdateAndScan(t *testing.T) {
 	}
 }
 
+// TestCoreIndexTakeMatchesScan holds Take to Scan: for every bucket of a
+// random occupancy and every output length, Take writes the first ids
+// Scan visits, in its order, and reports how many.
+func TestCoreIndexTakeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, nodes := range []int{1, 63, 64, 65, 300} {
+		x := NewCoreIndex(nodes, 8)
+		for id := 0; id < nodes; id++ {
+			x.Update(id, rng.Intn(9))
+		}
+		for f := 0; f <= 8; f++ {
+			var all []int
+			x.Scan(f, func(id int) bool { all = append(all, id); return true })
+			for n := 0; n <= len(all)+2; n++ {
+				out := make([]int, n)
+				got := x.Take(f, out)
+				want := all[:min(n, len(all))]
+				if got != len(want) || !slices.Equal(out[:got], want) {
+					t.Fatalf("%d nodes, bucket %d, Take into %d = %d %v, want %d %v", nodes, f, n, got, out[:got], len(want), want)
+				}
+			}
+		}
+	}
+}
+
 func TestCoreIndexMaxFreeDrains(t *testing.T) {
 	x := NewCoreIndex(4, 8)
 	for id := 0; id < 4; id++ {

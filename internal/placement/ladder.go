@@ -38,8 +38,9 @@ type ladderKey struct {
 }
 
 // rung is one step of a resolved ladder: a profiled scale factor and the
-// per-node demand estimated at it. A process-based request overrides the
-// demand's cores and memory with its own share per attempt.
+// per-node demand estimated at it. Per attempt, a process-based request
+// overrides the demand's cores with its own share, and every request sets
+// its memory to those cores' worth.
 type rung struct {
 	k int
 	d core.Demand

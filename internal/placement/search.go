@@ -155,13 +155,13 @@ type Search struct {
 	Cache *ScoreCache
 
 	// scratch buffers candidate ids and scores across calls. A Search
-	// serves one scheduling loop, so reuse is safe; both selection
-	// helpers copy their results out before returning. ids serves the
-	// from-scratch FindDemand and ascendFree, which never runs inside it
-	// (CS placement makes no demand walk).
+	// serves one scheduling loop, so reuse is safe; every helper copies
+	// its result out before returning. ids serves the from-scratch
+	// FindDemand, ascendFree and placeTwoSlot, none of which runs inside
+	// another; cores is TwoSlot's per-node take.
 	scratch struct {
 		ids   []int
-		slots []int
+		cores []int
 		heap  []scoredNode
 		pairs []cacheEntry
 	}
@@ -236,12 +236,8 @@ func (s *Search) Idle(n int) []int {
 		return nil
 	}
 	//lint:allocfree result slice is the caller's product, made only once n idle nodes are known to exist
-	out := make([]int, 0, n)
-	//lint:allocfree closure does not escape Scan; the runtime alloc gate verifies stack allocation
-	s.Idx.Scan(s.Spec.Cores.Int(), func(id int) bool {
-		out = append(out, id)
-		return len(out) < n
-	})
+	out := make([]int, n)
+	s.Idx.Take(s.Spec.Cores.Int(), out)
 	return out
 }
 
@@ -284,16 +280,34 @@ func (s *Search) placeCS(req Request) *Plan {
 }
 
 // ascendFree collects n nodes with at least minFree cores and mem GB
-// free, fullest buckets first, or nil if fewer qualify. Candidates
-// gather in scratch; only a full set is copied out.
+// free, fullest buckets first, or nil if fewer qualify. Memory binds only
+// when asked (mem > 0); otherwise the bucket counts decide and the nodes
+// are taken straight from the index. Asked, candidates gather in scratch
+// and only a full set is copied out.
 //
 //sns:hotpath
 func (s *Search) ascendFree(minFree, n int, mem float64) []int {
 	if n <= 0 {
 		return nil
 	}
+	top := s.Spec.Cores.Int()
+	if mem <= 0 {
+		have := 0
+		for f := minFree; f <= top && have < n; f++ {
+			have += s.Idx.Count(f)
+		}
+		if have < n {
+			return nil
+		}
+		//lint:allocfree result slice is the caller's product, made only once n nodes are known to qualify
+		out := make([]int, n)
+		for f, got := minFree, 0; got < n; f++ {
+			got += s.Idx.Take(f, out[got:])
+		}
+		return out
+	}
 	ids := s.scratch.ids[:0]
-	for f := minFree; f <= s.Spec.Cores.Int() && len(ids) < n; f++ {
+	for f := minFree; f <= top && len(ids) < n; f++ {
 		if s.Idx.Count(f) == 0 {
 			continue
 		}
@@ -310,10 +324,7 @@ func (s *Search) ascendFree(minFree, n int, mem float64) []int {
 	if len(ids) < n {
 		return nil
 	}
-	//lint:allocfree result slice is the caller's product, not reusable scratch
-	out := make([]int, n)
-	copy(out, ids)
-	return out
+	return exact(ids)
 }
 
 // placeSNS implements the Figure 11 process: walk the profiled scale
@@ -351,8 +362,8 @@ func (s *Search) placeSNS(req Request) *Plan {
 		d := r.d
 		if req.Procs > 0 {
 			d.Cores = req.firstShare(n)
-			d.MemGB = float64(d.Cores) * req.MemGBPerProc
 		}
+		d.MemGB = float64(d.Cores) * req.MemGBPerProc
 		nodes := s.FindDemand(n, d)
 		if nodes == nil {
 			continue
@@ -665,7 +676,9 @@ func (s *Search) selectIdlest(candidates []int, n int) []int {
 // placeTwoSlot places a job into static half-node slots: the job takes
 // ceil(procs/halfCores) slots, at most one intensive job per node, no
 // scaling and no cache partitioning (the related-work contrast of
-// Section 7).
+// Section 7). One pass in id order gives each node it uses one entry:
+// the slots the node offers, up to what the job still needs, in cores.
+// Memory binds only when asked.
 func (s *Search) placeTwoSlot(req Request) *Plan {
 	procs := req.Procs
 	if procs <= 0 {
@@ -675,72 +688,52 @@ func (s *Search) placeTwoSlot(req Request) *Plan {
 	if half <= 0 || procs <= 0 {
 		return nil
 	}
-	slots := (procs + half - 1) / half
 	memPerSlot := float64(half) * req.MemGBPerProc
-	candidates := s.scratch.slots[:0]
-	for id := 0; id < s.Nodes; id++ {
-		freeCores := s.Idx.Free(id)
-		if freeCores < half {
+	// A node gives one slot per free half, but an intensive job at most
+	// one — unless it needs more slots than the cluster has nodes: it
+	// can never spread that wide, and pairs with nobody when it fills
+	// both halves of its own node.
+	perNode := procs // more halves than any node has
+	if req.Intensive && (procs+half-1)/half <= s.Nodes {
+		perNode = 1
+	}
+	nodes, cores := s.scratch.ids[:0], s.scratch.cores[:0]
+	left := procs
+	for id := 0; id < s.Nodes && left > 0; id++ {
+		free := s.Idx.Free(id)
+		if free < half || (req.Intensive && s.HasIntensive != nil && s.HasIntensive(id)) {
 			continue
 		}
-		freeMem := s.View.FreeMem(id)
-		if freeMem < memPerSlot {
-			continue
+		k := 1 // slots taken here, up to what the job still needs
+		for free -= half; free >= half && k < perNode && k*half < left; free -= half {
+			k++
 		}
-		if req.Intensive && s.HasIntensive != nil && s.HasIntensive(id) {
-			continue
-		}
-		// A node offers one or two slots; count it once per free half.
-		free := freeCores / half
 		if memPerSlot > 0 {
-			if byMem := int(freeMem / memPerSlot); byMem < free {
-				free = byMem
+			freeMem := s.View.FreeMem(id)
+			if freeMem < memPerSlot {
+				continue
+			}
+			if byMem := freeMem / memPerSlot; byMem < float64(k) {
+				k = int(byMem)
 			}
 		}
-		if req.Intensive && free > 1 && slots <= s.Nodes {
-			// At most one intensive slot per node — except for a job
-			// needing more slots than the cluster has nodes, which can
-			// never spread that wide and pairs with nobody when it
-			// fills both halves of its own node.
-			free = 1
-		}
-		for k := 0; k < free && len(candidates) < slots; k++ {
-			candidates = append(candidates, id)
-		}
-		if len(candidates) == slots {
-			break
-		}
-	}
-	s.scratch.slots = candidates
-	if len(candidates) < slots {
-		return nil
-	}
-	// Merge repeated node ids into per-node core counts. The scan above
-	// emits candidates in ascending id order with a node's slots
-	// adjacent, so one run-length pass replaces the per-call map+order
-	// merge; the Plan slices stay fresh allocations because callers
-	// retain them past this Search call.
-	nodes := make([]int, 0, len(candidates))
-	cores := make([]int, 0, len(candidates))
-	remaining := procs
-	for i := 0; i < len(candidates); {
-		id := candidates[i]
-		take := 0
-		for ; i < len(candidates) && candidates[i] == id; i++ {
-			take += half
-		}
-		if take > remaining {
-			take = remaining
-		}
+		take := min(k*half, left)
 		nodes = append(nodes, id)
 		cores = append(cores, take)
-		remaining -= take
+		left -= take
 	}
-	if remaining > 0 {
+	s.scratch.ids, s.scratch.cores = nodes, cores
+	if left > 0 || !req.runnable(len(nodes)) {
 		return nil
 	}
-	if !req.runnable(len(nodes)) {
-		return nil
-	}
-	return &Plan{Nodes: nodes, Cores: cores, K: 1}
+	// The Plan's slices are fresh: callers retain them past this call.
+	return &Plan{Nodes: exact(nodes), Cores: exact(cores), K: 1}
+}
+
+// exact returns a copy of ids exactly as long as ids.
+func exact(ids []int) []int {
+	//lint:allocfree result slice is the caller's product, not reusable scratch
+	out := make([]int, len(ids))
+	copy(out, ids)
+	return out
 }

@@ -198,6 +198,11 @@ func (c *Cluster) Submit(spec JobSpec, now float64) (*Job, error) {
 	if !(spec.RuntimeSec >= 0) || math.IsInf(spec.RuntimeSec, 1) {
 		return nil, fmt.Errorf("svc: runtime %g is not a finite, non-negative number of seconds", spec.RuntimeSec)
 	}
+	// Each node reserves its cores' worth of memory. Written so NaN fails
+	// too; +Inf fails as more than a node holds.
+	if mem := float64(spec.CoresPerNode) * spec.MemGBPerProc; !(spec.MemGBPerProc >= 0) || mem > c.cfg.Node.MemoryGB {
+		return nil, fmt.Errorf("svc: job wants %g GB per process, %g GB per node; nodes have %g GB", spec.MemGBPerProc, mem, c.cfg.Node.MemoryGB)
+	}
 	j := &Job{
 		ID:        len(c.jobs),
 		Spec:      spec,
@@ -278,6 +283,9 @@ func (c *Cluster) launch(j *Job, pl *placement.Plan, now float64, model RuntimeM
 	}
 	j.res0.Cores, j.cores = c.planCores(pl)
 	j.uniform = j.cores == nil
+	if j.uniform {
+		j.res0.MemGB = float64(pl.Cores[0]) * j.Spec.MemGBPerProc
+	}
 	j.Nodes = pl.Nodes
 	// One span mutation (and one cache notification) per run of nodes
 	// that take the same cores: the whole node list for a uniform job.

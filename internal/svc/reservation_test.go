@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"spreadnshare/internal/app"
+	"spreadnshare/internal/hw"
 	"spreadnshare/internal/placement"
+	"spreadnshare/internal/profiler"
 )
 
 // TestRestoreRejectsBadReservations holds Restore to its error contract
@@ -113,9 +116,8 @@ func TestLaunchKeepsNoPerNodeRecords(t *testing.T) {
 		c, db, node := testCore(t, lim.policy, 4096)
 		model := PolicyRuntime(lim.policy, node)
 		sp := spec(db, "MG", 1024, 100)
-		// One half-node slot per node, so TwoSlot's plan slices are sized
-		// to the footprint (a node giving both halves is counted twice in
-		// their capacity) and its last node takes the remainder.
+		// One half-node slot per node, so TwoSlot's plan spans the
+		// footprint and its last node takes the remainder.
 		sp.Intensive = lim.policy == placement.TwoSlot
 		cycle := func(now float64) int {
 			j, err := c.Submit(sp, now)
@@ -183,5 +185,107 @@ func TestLaunchResolvesUnevenExclusiveTake(t *testing.T) {
 	}
 	if idx.Free(idle) != node.Cores.Int() || idx.Free(busy) != left || j.cores != nil {
 		t.Fatalf("after release: %d and %d cores free, core vector %v", idx.Free(idle), idx.Free(busy), j.cores)
+	}
+}
+
+// TestMemoryIsReserved holds launch to the memory the searches test: two
+// 8-process jobs at 10 GB a process fit one 128 GB node side by side in
+// cores but not in memory, so the second waits until the first completes,
+// in the original core and in one restored from a snapshot taken while it
+// waits. A TwoSlot job whose nodes take different cores holds each node's
+// cores' worth, across the same round trip.
+func TestMemoryIsReserved(t *testing.T) {
+	cl := hw.DefaultClusterSpec()
+	cat, err := app.NewCatalog(cl.Node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := profiler.NewDB()
+	if err := profiler.New(cl).ProfileAll(cat, []string{"EP"}, 8, db); err != nil {
+		t.Fatal(err)
+	}
+	prof, _ := db.Get("EP", 8)
+	newCore := func(policy placement.Policy, nodes int) *Cluster {
+		c, err := New(Config{Node: cl.Node, Nodes: nodes, Policy: policy, MaxScale: 8, ScanDepth: 32, AgingPeriodSec: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		return c
+	}
+	roundTrip := func(c *Cluster) *Cluster {
+		var buf bytes.Buffer
+		if err := c.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(&buf, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		return r
+	}
+	freeMem := func(c *Cluster) []float64 {
+		out := make([]float64, c.cfg.Nodes)
+		for id := range out {
+			out[id] = c.state.FreeMem(id)
+		}
+		return out
+	}
+	full := cl.Node.MemoryGB
+
+	for _, policy := range []placement.Policy{placement.CS, placement.SNS} {
+		c := newCore(policy, 1)
+		model := PolicyRuntime(policy, cl.Node)
+		js := JobSpec{Program: "EP", BaseNodes: 1, CoresPerNode: 8, RuntimeSec: 100, Alpha: 0.9, MemGBPerProc: 10, Profile: prof}
+		a, _ := c.Submit(js, 0)
+		b, _ := c.Submit(js, 0)
+		c.ScheduleRound(0, model)
+		if a.State != Running || b.State != Queued {
+			t.Fatalf("%s: jobs %s and %s, want the second queued behind the first's 80 GB", policy, a.State, b.State)
+		}
+		r := roundTrip(c)
+		for name, core := range map[string]*Cluster{"original": c, "restored": r} {
+			if got := freeMem(core); got[0] != full-80 {
+				t.Fatalf("%s %s: %v GB free, want %v", policy, name, got, full-80)
+			}
+			if placed := core.ScheduleRound(1, model); len(placed) != 0 {
+				t.Fatalf("%s %s: placed job %d into memory held by job %d", policy, name, placed[0].ID, a.ID)
+			}
+			if err := core.Complete(a.ID, 2); err != nil {
+				t.Fatal(err)
+			}
+			if placed := core.ScheduleRound(2, model); len(placed) != 1 || placed[0].ID != b.ID {
+				t.Fatalf("%s %s: job %d not placed once job %d released its memory", policy, name, b.ID, a.ID)
+			}
+			if err := core.Complete(b.ID, 3); err != nil {
+				t.Fatal(err)
+			}
+			if got := freeMem(core); got[0] != full {
+				t.Fatalf("%s %s: %v GB free after both completed, want %v", policy, name, got, full)
+			}
+		}
+	}
+
+	// 42 processes in 14-core slots: both halves of node 0, one of node 1.
+	c := newCore(placement.TwoSlot, 3)
+	js := JobSpec{BaseNodes: 2, CoresPerNode: 21, RuntimeSec: 100, MemGBPerProc: 4}
+	j, _ := c.Submit(js, 0)
+	c.ScheduleRound(0, PolicyRuntime(placement.TwoSlot, cl.Node))
+	if j.State != Running || !slices.Equal(j.cores, []int{28, 14}) {
+		t.Fatalf("TwoSlot: job %s with cores %v, want [28 14]", j.State, j.cores)
+	}
+	want := []float64{full - 28*4, full - 14*4, full}
+	r := roundTrip(c)
+	for name, core := range map[string]*Cluster{"original": c, "restored": r} {
+		if got := freeMem(core); !slices.Equal(got, want) {
+			t.Fatalf("TwoSlot %s: %v GB free, want %v", name, got, want)
+		}
+		if err := core.Complete(j.ID, 1); err != nil {
+			t.Fatal(err)
+		}
+		if got := freeMem(core); !slices.Equal(got, []float64{full, full, full}) {
+			t.Fatalf("TwoSlot %s: %v GB free after completion", name, got)
+		}
 	}
 }

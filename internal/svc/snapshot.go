@@ -38,7 +38,8 @@ type snapshot struct {
 
 // jobRecord mirrors Job plus its unexported release bookkeeping. Res is
 // written for running jobs whose per-node core counts differ, one entry
-// per node with only Cores varying; every other running job is Uniform
+// per node with only Cores and the memory that follows them varying;
+// every other running job is Uniform
 // and carries Res0 alone, and a finished job carries no reservations it
 // could still return. Documents from before launch resolved exclusive
 // takes wrote Res for every CE job, "Exclusive":true with the resolved
@@ -225,15 +226,19 @@ func (c *Cluster) reapply(j *Job, rec *jobRecord) error {
 		if len(res) != len(j.Nodes) || len(res) == 0 {
 			return fmt.Errorf("svc: snapshot job %d has %d reservations for %d nodes", j.ID, len(res), len(j.Nodes))
 		}
-		// Per-node records differ in Cores only. Exclusive is dropped: a
-		// record that carries it also carries the cores the take resolved
-		// to, and re-resolving against the restored nodes would be wrong.
+		// Per-node records differ in Cores and the memory that follows
+		// them only. Exclusive is dropped: a record that carries it also
+		// carries the cores the take resolved to, and re-resolving
+		// against the restored nodes would be wrong.
 		j.res0 = res[0]
-		j.res0.Cores, j.res0.Exclusive = 0, false
+		j.res0.Cores, j.res0.MemGB, j.res0.Exclusive = 0, 0, false
 		j.cores = make([]int, len(res))
 		for i, r := range res {
 			j.cores[i] = r.Cores
-			r.Cores, r.Exclusive = 0, false
+			if r.MemGB != j.reservation(i).MemGB { //lint:floateq launch wrote this very product
+				return fmt.Errorf("svc: snapshot job %d reservation %d holds %g GB, not %d cores' worth", j.ID, i, r.MemGB, r.Cores)
+			}
+			r.Cores, r.MemGB, r.Exclusive = 0, 0, false
 			if r != j.res0 {
 				return fmt.Errorf("svc: snapshot job %d reservation %d differs from the job's first in more than cores", j.ID, i)
 			}
@@ -243,7 +248,7 @@ func (c *Cluster) reapply(j *Job, rec *jobRecord) error {
 	if p.Exclusive {
 		return fmt.Errorf("svc: snapshot job %d has an exclusive prototype reservation", j.ID)
 	}
-	if p.Ways < 0 || p.BW < 0 || p.MemGB < 0 || p.IOBW < 0 {
+	if p.Ways < 0 || p.BW < 0 || p.MemGB < 0 || p.IOBW < 0 || j.Spec.MemGBPerProc < 0 {
 		return fmt.Errorf("svc: snapshot job %d reserves negative ways, bandwidth or memory", j.ID)
 	}
 	idx := c.state.Index()

@@ -171,11 +171,14 @@ type Job struct {
 	cores   []int
 }
 
-// reservation rebuilds node i's share from the prototype.
+// reservation rebuilds node i's share from the prototype. Memory follows
+// the cores: MemGBPerProc for each core of the plan, which for an uneven
+// job is its cores on the node.
 func (j *Job) reservation(i int) placement.Reservation {
 	r := j.res0
 	if !j.uniform {
 		r.Cores = j.cores[i]
+		r.MemGB = float64(r.Cores) * j.Spec.MemGBPerProc
 	}
 	return r
 }

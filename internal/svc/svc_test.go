@@ -142,6 +142,11 @@ func TestSubmitValidation(t *testing.T) {
 		{Program: "MG", BaseNodes: 4, CoresPerNode: 0, RuntimeSec: 1},
 		{Program: "MG", BaseNodes: 4, CoresPerNode: node.Cores.Int() + 1, RuntimeSec: 1},
 	}
+	for _, mem := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1), node.MemoryGB/16 + 1} {
+		s := spec(db, "MG", 4, 100)
+		s.MemGBPerProc = mem // the last: 16 processes want more than a node holds
+		cases = append(cases, s)
+	}
 	for i, s := range cases {
 		if _, err := c.Submit(s, 0); err == nil {
 			t.Errorf("case %d: Submit(%+v) succeeded, want error", i, s)
