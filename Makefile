@@ -41,9 +41,10 @@ check: build vet lint race bench-module
 # document, a mutation schedule or a run pattern no one has written
 # down yet.
 # FuzzCachedSearch drives the search that holds the score cache and the
-# remembered failures against one that holds neither;
-# FuzzRememberedFailures does the same on a cluster filled until most
-# queries fail, where the remembered failures do their work; FuzzSortRuns
+# remembered failures against one that holds neither and against the
+# heap reference (linearFindDemand: a sweep of every node, then
+# selectIdlest's bounded heap); FuzzRememberedFailures does the same on
+# a cluster filled until most queries fail, where the remembered failures do their work; FuzzSortRuns
 # drives the cache's run-merge sort against slices.SortFunc;
 # FuzzIndexUpdateSpan drives the core index's word-batched span update
 # against the per-node Update loop; FuzzTwoSlotPlan drives the CE, CS
@@ -70,7 +71,7 @@ smoke:
 	scripts/smoke.sh
 
 # loc prints the non-test, non-testdata Go line counts ROADMAP's line
-# budget (item 6) is counted from: kernel, service core, daemon, replay,
+# budget (item 14) is counted from: kernel, service core, daemon, replay,
 # event queue, second scheduler, guard layer, auditor, benchmark.
 # Nothing fails on it.
 loc:

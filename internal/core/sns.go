@@ -43,7 +43,7 @@ func EstimateDemand(sp *profiler.ScaleProfile, alpha float64, spec hw.NodeSpec) 
 	if full < 1 {
 		return Demand{Cores: sp.CoresPerNode, Ways: spec.MinWaysPerJob}
 	}
-	if alpha <= 0 || alpha > 1 {
+	if !(alpha > 0 && alpha <= 1) { // NaN included
 		alpha = 1
 	}
 	target := alpha * sp.IPCAt(full)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +60,24 @@ func TestEstimateDemandAlphaOne(t *testing.T) {
 	d2 := EstimateDemand(sp, 0, spec)
 	if d2.Ways != 20 {
 		t.Errorf("alpha=0 demanded %d ways, want full 20 (treated as 1)", d2.Ways)
+	}
+}
+
+// A NaN alpha is out of range like any other and is treated as 1: on a
+// curve that plateaus at 5 ways, it demands the plateau, not every way.
+func TestEstimateDemandAlphaNaN(t *testing.T) {
+	spec := hw.DefaultNodeSpec()
+	ipc := make([]float64, 21)
+	bw := make([]float64, 21)
+	for w := 1; w <= 20; w++ {
+		ipc[w] = float64(min(w, 5)) / 5
+		bw[w] = 10
+	}
+	sp := &profiler.ScaleProfile{K: 1, Nodes: 1, CoresPerNode: 16, TimeSec: 100, IPCByWay: ipc, BWByWay: bw}
+	for _, alpha := range []float64{1, 2, math.NaN()} {
+		if d := EstimateDemand(sp, alpha, spec); d.Ways != 5 {
+			t.Errorf("alpha=%g demanded %d ways, want the plateau's 5", alpha, d.Ways)
+		}
 	}
 }
 

@@ -286,13 +286,10 @@ func TestHotpathCoverage(t *testing.T) {
 		"(spreadnshare/internal/sim.eventHeap).up",
 		"(spreadnshare/internal/sim.eventHeap).down",
 		"(*spreadnshare/internal/placement.Search).FindDemand",
-		"(*spreadnshare/internal/placement.Search).findDemandCached",
 		"(*spreadnshare/internal/placement.Search).settle",
 		"(*spreadnshare/internal/placement.Search).upkeep",
 		"(*spreadnshare/internal/placement.Search).provenShort",
 		"(*spreadnshare/internal/placement.Search).rememberFailure",
-		"(*spreadnshare/internal/placement.Search).selectIdlest",
-		"(*spreadnshare/internal/placement.Search).takeIdlest",
 		"(*spreadnshare/internal/placement.Search).score",
 		"(*spreadnshare/internal/placement.Search).fits",
 		"(*spreadnshare/internal/placement.Search).placeSNS",
@@ -306,6 +303,7 @@ func TestHotpathCoverage(t *testing.T) {
 		"(*spreadnshare/internal/placement.ScoreCache).fold",
 		"(*spreadnshare/internal/placement.ScoreCache).walk",
 		"spreadnshare/internal/placement.sortRuns",
+		"spreadnshare/internal/placement.idsOf",
 		"(*spreadnshare/internal/placement.CoreIndex).UpdateSpan",
 		"(*spreadnshare/internal/placement.SimState).ReserveSpan",
 		"(*spreadnshare/internal/placement.SimState).ReleaseSpan",

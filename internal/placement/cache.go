@@ -18,19 +18,19 @@ type cacheEntry struct {
 }
 
 // ScoreCache is the incremental node-score index of the placement
-// search: for every node it memoizes the last computed Co + Bo + beta*Wo
-// score, and for every free-core bucket it keeps ordered (score, id)
-// entries — the exact ascending order selectIdlest emits — so the
-// grouped placement path reads its n winners off the front of a bucket
-// instead of rescoring and heap-selecting the whole bucket.
+// search, and one of FindDemand's two candidate sources: for every node
+// it memoizes the last computed Co + Bo + beta*Wo score, and for every
+// free-core bucket it keeps ordered (score, id) entries — the order
+// FindDemand selects in — so a grouped search reads its n winners off
+// the front of a bucket instead of scanning, rescoring and sorting it.
 //
 // Mutations are O(1): backends call Invalidate(id) after every
 // reservation change (SimState does it inside Reserve/Release), which
 // just sets the node's bit in the dirty bitset. Only svc wires a cache,
 // and only under SNS, the one policy whose search calls FindDemand; the
 // testbed scheduler (internal/sched) runs on a few nodes, where building
-// and invalidating a cache per run costs more than the from-scratch
-// search it would replace.
+// and invalidating a cache per run costs more than scanning the buckets
+// it would replace.
 //
 // All ordering work happens at search time, where it is amortized over
 // the whole dirty batch and leans on the order the batch already has:
@@ -144,9 +144,8 @@ func (c *ScoreCache) InvalidateSpan(ids []int) {
 	}
 }
 
-// entryLess orders entries by the (score, id) key — the selectIdlest
-// total order, which is what makes bucket walks emit candidates in the
-// exact sequence the from-scratch selection would.
+// entryLess orders entries by the (score, id) key — the total order
+// FindDemand selects in, whichever source its candidates come from.
 func entryLess(a, b cacheEntry) int {
 	//lint:floateq exact tie detection so the (score, id) order stays total
 	if a.score != b.score {
@@ -192,7 +191,7 @@ func runEnd(ents []cacheEntry, lo int) int {
 //
 // The batches it is handed are nearly sorted by construction: a flush
 // files pending adds in ascending id order and a span's nodes share one
-// score, and the fallback search concatenates sorted bucket walks.
+// score, and FindDemand's fallback concatenates sorted buckets.
 //
 //sns:hotpath
 func sortRuns(ents []cacheEntry, buf *[]cacheEntry) {

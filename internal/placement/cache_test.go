@@ -21,10 +21,13 @@ import (
 // and mutated only by per-node Reserve/Release — the ground truth
 // ReserveSpan's doc comment promises to match. The from-scratch search
 // has no cache, so it also remembers no failures: every answer it gives
-// comes from a walk. Every query must find the two backends in identical
-// state and return the identical node list — the bit-identical-digest
-// contract — and the cache and the remembered failures must pass their
-// audits after every step.
+// comes from a walk. Both run FindDemand's one body, so every query is
+// also answered by linearFindDemand over the plain backend, which shares
+// none of it: a sweep of every node and selectIdlest's heap. Every query
+// must find the two backends in identical state and return the identical
+// node list from all three — the bit-identical-digest contract — and the
+// cache and the remembered failures must pass their audits after every
+// step.
 type cacheHarness struct {
 	spec   hw.NodeSpec
 	nodes  int
@@ -32,6 +35,7 @@ type cacheHarness struct {
 	plain  *SimState
 	cs     *Search // searches through cs.Cache
 	ps     *Search // rescoring from scratch
+	ref    *Search // linearFindDemand's, over the plain backend's own view
 	held   [][]Reservation
 	spans  [][]heldSpan // each live span reservation, as its runs
 }
@@ -69,6 +73,10 @@ func newCacheHarness(nodes int, noGrouping bool) *cacheHarness {
 		Nodes:      nodes,
 		NoGrouping: noGrouping,
 	}
+	// A search of its own, so the count gates that wrap h.ps.View do not
+	// count the reference's reads.
+	ref := *h.ps
+	h.ref = &ref
 	return h
 }
 
@@ -207,19 +215,21 @@ func (h *cacheHarness) sameState(t *testing.T) {
 }
 
 // query checks the two backends hold the same state, runs the same
-// FindDemand on both searches and fails on the first divergence, then
-// audits the cache against the live backend. It returns the answer.
+// FindDemand on both searches and the heap reference on the plain
+// backend, and fails on the first divergence, then audits the cache
+// against the live backend. It returns the answer.
 func (h *cacheHarness) query(t *testing.T, n int, d core.Demand) []int {
 	t.Helper()
 	h.sameState(t)
 	got := h.cs.FindDemand(n, d)
-	want := h.ps.FindDemand(n, d)
-	if len(got) != len(want) {
-		t.Fatalf("FindDemand(%d, %+v): cached found %d nodes, plain %d", n, d, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("FindDemand(%d, %+v): cached %v != plain %v", n, d, got, want)
+	plain := h.ps.FindDemand(n, d)
+	ref := linearFindDemand(h.ref, n, d)
+	for _, want := range []struct {
+		name string
+		ids  []int
+	}{{"plain", plain}, {"heap reference", ref}} {
+		if !slices.Equal(got, want.ids) {
+			t.Fatalf("FindDemand(%d, %+v): cached %v != %s %v", n, d, got, want.name, want.ids)
 		}
 	}
 	// The pieces, not h.cs.Audit(): count gates wrap h.cs.View, and the
@@ -335,7 +345,7 @@ func TestCachedSearchEquivalence(t *testing.T) {
 // must evaluate at most a quarter of the scores the from-scratch search
 // does. The cached side pays for populating the cache (every node scored
 // once) and for each dirty node once per flush; the from-scratch side
-// rescores every candidate of the bucket it settles on. Counting is
+// rescores every feasible candidate of each bucket it scans. Counting is
 // deterministic, so the gate reads the same on any machine, and it trips
 // the moment a flush rescores more than the dirty set.
 func TestCachedSearchScoreEvaluations(t *testing.T) {

@@ -126,8 +126,8 @@ func EvenSplit(procs, n int) []int {
 //     ID-order scans of the linear implementations it replaced;
 //   - node scores are read through View with the same expression shape
 //     as cluster.Node.Score, so float results are bit-identical;
-//   - selectIdlest orders by (score, id), a total order, making the
-//     selection independent of candidate enumeration order.
+//   - FindDemand orders candidates by (score, id), a total order, making
+//     the selection independent of candidate enumeration order.
 type Search struct {
 	View NodeView
 	Idx  *CoreIndex
@@ -147,23 +147,25 @@ type Search struct {
 	// shared-resource-intensive job (TwoSlot's pairing rule). Only
 	// consulted for intensive requests; nil means no node does.
 	HasIntensive func(id int) bool
-	// Cache, when set, is the incremental score index FindDemand reads
-	// instead of rescoring every candidate. The backend must feed the
-	// cache's dirty set (Invalidate) on every reservation change; the
-	// search flushes pending invalidations before each walk, so results
-	// are bit-identical to the from-scratch path.
+	// Cache, when set, is the incremental score index FindDemand draws
+	// each bucket's ordered candidates from instead of scanning and
+	// rescoring it. The backend must feed the cache's dirty set
+	// (Invalidate) on every reservation change; the search flushes
+	// pending invalidations before each walk, so answers are
+	// bit-identical to a search without one.
 	Cache *ScoreCache
 
 	// scratch buffers candidate ids and scores across calls. A Search
 	// serves one scheduling loop, so reuse is safe; every helper copies
-	// its result out before returning. ids serves the from-scratch
-	// FindDemand, ascendFree and placeTwoSlot, none of which runs inside
-	// another; cores is TwoSlot's per-node take.
+	// its result out before returning. ids serves ascendFree and
+	// placeTwoSlot, neither of which runs inside the other; cores is
+	// TwoSlot's per-node take; pairs is FindDemand's candidates, and
+	// merge their sortRuns buffer when no cache lends its own.
 	scratch struct {
 		ids   []int
 		cores []int
-		heap  []scoredNode
 		pairs []cacheEntry
+		merge []cacheEntry
 	}
 
 	// runs maps a per-node core count to a run of that value, the
@@ -182,12 +184,6 @@ type Search struct {
 	// per-rung demand (ladder.go): derived from the profile alone, so
 	// like the runs above it holds nothing of the cluster or the request.
 	ladders map[ladderKey][]rung
-}
-
-// scoredNode pairs a candidate with its selection score.
-type scoredNode struct {
-	id    int
-	score float64
 }
 
 func (s *Search) beta() float64 {
@@ -230,15 +226,10 @@ func (s *Search) Place(p Policy, req Request) *Plan {
 	return nil
 }
 
-// Idle returns the n lowest-id fully-free nodes, or nil if fewer exist.
+// Idle returns the n lowest-id fully-free nodes, or nil if fewer exist:
+// ascendFree confined to the fully-free bucket.
 func (s *Search) Idle(n int) []int {
-	if n <= 0 || s.Idx.Count(s.Spec.Cores.Int()) < n {
-		return nil
-	}
-	//lint:allocfree result slice is the caller's product, made only once n idle nodes are known to exist
-	out := make([]int, n)
-	s.Idx.Take(s.Spec.Cores.Int(), out)
-	return out
+	return s.ascendFree(s.Spec.Cores.Int(), n, 0)
 }
 
 // placeCE packs the job onto the minimum number of fully idle nodes and
@@ -418,130 +409,87 @@ func (s *Search) repeated(v, n int) []int {
 // equally-idle nodes (tightest adequate group first, keeping resource
 // consumption even within groups); failing that it falls back to the
 // whole cluster. Within the chosen set it returns the n idlest nodes by
-// the Co + Bo + beta*Wo score. It returns nil when fewer than n qualify.
+// the Co + Bo + beta*Wo score, ties broken by id. It returns nil when
+// fewer than n qualify.
 //
-// A cached walk that fails has tested every node that can host the
-// demand, and leaves that set behind (rememberFailure); a query a
-// remembered set already rules out is answered nil before any walk
-// (provenShort).
+// An equal-free-cores bucket of feasible nodes is exactly an idle-core
+// group. Each bucket yields its feasible nodes in ascending (score, id)
+// order, a total order; only the source differs:
+//
+//   - with a score cache, after settle and provenShort (failed.go), a
+//     walk of the cache's ordered lists, stopped at the n-th feasible
+//     node while grouping;
+//   - without one, a scan that scores every feasible node once, put in
+//     order by sortRuns.
+//
+// The first bucket holding n answers with its first n; failing that,
+// the buckets' runs are merged by sortRuns and cut to n. A cached walk
+// that fails leaves behind the set of nodes that can host the demand
+// (rememberFailure).
 //
 //sns:hotpath
 func (s *Search) FindDemand(n int, d core.Demand) []int {
 	if n <= 0 {
 		return nil
 	}
-	if s.Cache != nil {
-		return s.findDemandCached(n, d)
-	}
-	minFree := d.Cores
-	if minFree < 0 {
-		minFree = 0
-	}
-	all := s.scratch.ids[:0]
-	for f := minFree; f <= s.Spec.Cores.Int(); f++ {
-		if s.Idx.Count(f) == 0 {
-			continue
+	c, buf := s.Cache, &s.scratch.merge
+	if c != nil {
+		s.settle()
+		if s.provenShort(n, d) {
+			return nil
 		}
-		start := len(all)
-		//lint:allocfree closure does not escape Scan; the runtime alloc gate verifies stack allocation
-		s.Idx.Scan(f, func(id int) bool {
-			if s.fits(id, d) {
-				all = append(all, id)
-			}
-			return true
-		})
-		// An equal-free-cores bucket of feasible nodes is exactly an
-		// idle-core group; the first adequate one (ascending free) is
-		// the tightest fit.
-		if !s.NoGrouping && len(all)-start >= n {
-			s.scratch.ids = all
-			return s.selectIdlest(all[start:], n)
-		}
+		buf = &c.sortBuf // one merge buffer per search
 	}
-	s.scratch.ids = all
-	if len(all) < n {
-		return nil
-	}
-	return s.selectIdlest(all, n)
-}
-
-// findDemandCached is FindDemand over the incremental score cache. The
-// control flow mirrors the from-scratch path bucket for bucket; the only
-// change is where candidate order and scores come from:
-//
-//   - grouped path: a bucket walk emits feasible nodes in ascending
-//     (score, id) — the very order selectIdlest drains — so the first n
-//     feasible nodes ARE the group's n idlest, and the walk stops there
-//     instead of rescoring and heap-selecting the whole bucket. The
-//     walk finds n feasible nodes exactly when the bucket holds >= n,
-//     so the bucket-adequacy decision is unchanged.
-//   - fallback path: feasible (score, id) pairs accumulate across
-//     buckets and takeIdlest sorts them by the same total order the
-//     bounded-heap selection drains in, so the result is identical and
-//     independent of candidate enumeration order. Scores come from the
-//     cache, where the flush just wrote the bit-identical value the
-//     heap would otherwise recompute.
-//
-// Before any of it, settle drains the dirty set into the remembered
-// failures and the cache, and a query a remembered failure rules out
-// returns nil there.
-//
-//sns:hotpath
-func (s *Search) findDemandCached(n int, d core.Demand) []int {
-	c := s.Cache
-	s.settle()
-	if s.provenShort(n, d) {
-		return nil
-	}
-	minFree := d.Cores
-	if minFree < 0 {
-		minFree = 0
-	}
+	beta := s.beta()
 	all := s.scratch.pairs[:0]
-	for f := minFree; f <= s.Spec.Cores.Int(); f++ {
+	for f := max(d.Cores, 0); f <= s.Spec.Cores.Int(); f++ {
 		if s.Idx.Count(f) == 0 {
 			continue
 		}
-		c.prepare(f, s.Idx)
 		start := len(all)
-		//lint:allocfree closure does not escape walk; the runtime alloc gate verifies stack allocation
-		c.walk(f, s.Idx, func(id int32, sc float64) bool {
-			if s.fits(int(id), d) {
-				all = append(all, cacheEntry{score: sc, id: id})
-			}
-			return s.NoGrouping || len(all)-start < n
-		})
+		if c != nil {
+			c.prepare(f, s.Idx)
+			//lint:allocfree closure does not escape walk; the runtime alloc gate verifies stack allocation
+			c.walk(f, s.Idx, func(id int32, sc float64) bool {
+				if s.fits(int(id), d) {
+					all = append(all, cacheEntry{score: sc, id: id})
+				}
+				return s.NoGrouping || len(all)-start < n
+			})
+		} else {
+			//lint:allocfree closure does not escape Scan; the runtime alloc gate verifies stack allocation
+			s.Idx.Scan(f, func(id int) bool {
+				if s.fits(id, d) {
+					all = append(all, cacheEntry{score: s.score(id, beta), id: int32(id)})
+				}
+				return true
+			})
+			sortRuns(all[start:], buf)
+		}
 		if !s.NoGrouping && len(all)-start >= n {
 			s.scratch.pairs = all
-			//lint:allocfree result slice is the caller's product, not reusable scratch
-			out := make([]int, n)
-			for i := range out {
-				out[i] = int(all[start+i].id)
-			}
-			return out
+			return idsOf(all[start : start+n])
 		}
 	}
 	s.scratch.pairs = all
 	if len(all) < n {
-		s.rememberFailure(d, all)
+		if c != nil {
+			s.rememberFailure(d, all)
+		}
 		return nil
 	}
-	return s.takeIdlest(all, n)
+	sortRuns(all, buf)
+	return idsOf(all[:n])
 }
 
-// takeIdlest is the cached-path fallback selection: sort the feasible
-// (score, id) pairs by the selectIdlest total order and keep the first
-// n. The pairs are the concatenation of one sorted walk per bucket, so
-// sortRuns merges at most cores+1 runs. Sorting scratch in place is safe
-// — the pairs are consumed here.
+// idsOf copies the node ids of ents out as the caller's own slice.
 //
 //sns:hotpath
-func (s *Search) takeIdlest(pairs []cacheEntry, n int) []int {
-	sortRuns(pairs, &s.Cache.sortBuf)
+func idsOf(ents []cacheEntry) []int {
 	//lint:allocfree result slice is the caller's product, not reusable scratch
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(pairs[i].id)
+	out := make([]int, len(ents))
+	for i, e := range ents {
+		out[i] = int(e.id)
 	}
 	return out
 }
@@ -587,90 +535,6 @@ func nodeScoreOf(view NodeView, spec hw.NodeSpec, id int, beta float64) float64 
 	bo := view.AllocBW(id).Float64() / spec.PeakBandwidth.Float64()
 	wo := view.AllocWays(id).Float64() / spec.LLCWays.Float64()
 	return co + bo + beta*wo
-}
-
-// selectIdlest returns up to n node ids from candidates with the lowest
-// score, ties broken by id. The (score, id) order is total, so the
-// result does not depend on candidate order — which lets the selection
-// run as a bounded max-heap (worst-of-the-best at the root) in
-// O(C log n) instead of sorting all C candidates. Large-cluster
-// placement passes hit this with C in the tens of thousands and n of a
-// few dozen, where the full sort dominated replay time.
-//
-//sns:hotpath
-func (s *Search) selectIdlest(candidates []int, n int) []int {
-	beta := s.beta()
-	// after reports a ranking after b in the ascending (score, id) order.
-	after := func(a, b scoredNode) bool {
-		//lint:floateq exact tie detection so the (score, id) order stays total
-		if a.score != b.score {
-			return a.score > b.score
-		}
-		return a.id > b.id
-	}
-	h := s.scratch.heap[:0]
-	siftDown := func(i int) {
-		for {
-			l := 2*i + 1
-			if l >= len(h) {
-				return
-			}
-			m := l
-			if r := l + 1; r < len(h) && after(h[r], h[l]) {
-				m = r
-			}
-			if !after(h[m], h[i]) {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	if n >= len(candidates) {
-		// Everything is selected; only the order is left to establish.
-		// Build the heap in one Floyd pass and fall through to the
-		// drain — a plain heapsort.
-		for _, id := range candidates {
-			//lint:allocfree heap scratch reuses s.scratch.heap backing array after warm-up
-			h = append(h, scoredNode{id: id, score: s.score(id, beta)})
-		}
-		for i := len(h)/2 - 1; i >= 0; i-- {
-			siftDown(i)
-		}
-	} else {
-		for _, id := range candidates {
-			c := scoredNode{id: id, score: s.score(id, beta)}
-			if len(h) < n {
-				//lint:allocfree heap scratch reuses s.scratch.heap backing array after warm-up
-				h = append(h, c)
-				for i := len(h) - 1; i > 0; {
-					p := (i - 1) / 2
-					if !after(h[i], h[p]) {
-						break
-					}
-					h[i], h[p] = h[p], h[i]
-					i = p
-				}
-			} else if after(h[0], c) {
-				h[0] = c
-				siftDown(0)
-			}
-		}
-	}
-	s.scratch.heap = h
-	// Drain the heap: each pop yields the worst remaining pick, so
-	// filling the result back to front leaves it in ascending
-	// (score, id) order without a comparison-sort pass.
-	//lint:allocfree result slice is the caller's product, not reusable scratch
-	out := make([]int, len(h))
-	for len(h) > 0 {
-		last := len(h) - 1
-		out[last] = h[0].id
-		h[0] = h[last]
-		h = h[:last]
-		siftDown(0)
-	}
-	return out
 }
 
 // placeTwoSlot places a job into static half-node slots: the job takes

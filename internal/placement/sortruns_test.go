@@ -24,7 +24,7 @@ func checkSortRuns(t *testing.T, name string, in []cacheEntry, buf *[]cacheEntry
 // TestSortRunsMatchesSortFunc is the differential test of the run-merge
 // sort over the shapes it meets and the ones it must merely survive:
 // nothing to do, one run (no buffer touched), a few concatenated runs
-// (what prepare and takeIdlest hand it), strict interleaving (every run
+// (what prepare and FindDemand hand it), strict interleaving (every run
 // two long, the O(n log n) case), exact duplicates, and noise. One
 // buffer serves every case in turn, as the cache's does.
 func TestSortRunsMatchesSortFunc(t *testing.T) {

@@ -40,9 +40,11 @@ func newSpeedupState(tb testing.TB) (*SimState, *Search) {
 
 // linearFindDemand is the reference implementation: one pass over every
 // node, bucketing feasible candidates by free-core count, then the same
-// ascending-bucket, idlest-first selection FindDemand performs over the
-// index. Semantics match FindDemand exactly; only the candidate
-// enumeration is O(cluster) instead of O(matching buckets).
+// ascending-bucket, idlest-first rule FindDemand applies over the index.
+// Semantics match FindDemand exactly, but nothing of its body is shared:
+// the enumeration is O(cluster) instead of O(matching buckets), and the
+// n idlest come out of selectIdlest's bounded heap, not a sorted walk or
+// sortRuns.
 func linearFindDemand(s *Search, n int, d core.Demand) []int {
 	if n <= 0 {
 		return nil
@@ -64,14 +66,84 @@ func linearFindDemand(s *Search, n int, d core.Demand) []int {
 			continue
 		}
 		if !s.NoGrouping && len(buckets[f]) >= n {
-			return s.selectIdlest(buckets[f], n)
+			return selectIdlest(s, buckets[f], n)
 		}
 		all = append(all, buckets[f]...)
 	}
 	if len(all) < n {
 		return nil
 	}
-	return s.selectIdlest(all, n)
+	return selectIdlest(s, all, n)
+}
+
+// scoredNode pairs a candidate with its selection score.
+type scoredNode struct {
+	id    int
+	score float64
+}
+
+// selectIdlest returns up to n node ids from candidates with the lowest
+// score, ties broken by id. The (score, id) order is total, so the
+// result does not depend on candidate order, and the selection runs as
+// a bounded max-heap (worst-of-the-best at the root) in O(C log n) — the
+// kernel's selection before FindDemand took its candidates in sorted
+// order, kept as the reference that order is checked against.
+func selectIdlest(s *Search, candidates []int, n int) []int {
+	beta := s.beta()
+	// after reports a ranking after b in the ascending (score, id) order.
+	after := func(a, b scoredNode) bool {
+		if a.score != b.score {
+			return a.score > b.score
+		}
+		return a.id > b.id
+	}
+	var h []scoredNode
+	siftDown := func(i int) {
+		for {
+			l := 2*i + 1
+			if l >= len(h) {
+				return
+			}
+			m := l
+			if r := l + 1; r < len(h) && after(h[r], h[l]) {
+				m = r
+			}
+			if !after(h[m], h[i]) {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for _, id := range candidates {
+		c := scoredNode{id: id, score: nodeScoreOf(s.View, s.Spec, id, beta)}
+		if len(h) < n {
+			h = append(h, c)
+			for i := len(h) - 1; i > 0; {
+				p := (i - 1) / 2
+				if !after(h[i], h[p]) {
+					break
+				}
+				h[i], h[p] = h[p], h[i]
+				i = p
+			}
+		} else if after(h[0], c) {
+			h[0] = c
+			siftDown(0)
+		}
+	}
+	// Drain the heap: each pop yields the worst remaining pick, so
+	// filling the result back to front leaves it in ascending
+	// (score, id) order.
+	out := make([]int, len(h))
+	for len(h) > 0 {
+		last := len(h) - 1
+		out[last] = h[0].id
+		h[0] = h[last]
+		h = h[:last]
+		siftDown(0)
+	}
+	return out
 }
 
 var speedupDemand = core.Demand{Cores: 16, Ways: 4, BW: 30}

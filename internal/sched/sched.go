@@ -249,8 +249,9 @@ func New(spec hw.ClusterSpec, cat *app.Catalog, db *profiler.DB, cfg Config) (*S
 		HasIntensive:    s.nodeHasIntensive,
 		// No score cache: it pays on clusters of thousands of nodes. On a
 		// testbed of a few, building one per run and invalidating it on
-		// every allocation costs more than FindDemand's from-scratch body,
-		// which answers bit-identically by contract.
+		// every allocation costs more than the bucket scans FindDemand
+		// draws candidates from without one, in the same loop and with
+		// bit-identical answers.
 	}
 	for i := range s.daemons {
 		s.daemons[i] = daemon.New(i, spec.Node)

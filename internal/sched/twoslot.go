@@ -26,15 +26,8 @@ func (s *Scheduler) bwIntensive(j *exec.Job) bool {
 			}
 		}
 	}
-	return j.Prog.BWPerCoreRef*float64(minInt(j.Procs, s.spec.Node.Cores.Int())) >
+	return j.Prog.BWPerCoreRef*float64(min(j.Procs, s.spec.Node.Cores.Int())) >
 		s.spec.Node.PeakBandwidth.Float64()/3
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // nodeHasIntensive reports whether any job on the node is classified

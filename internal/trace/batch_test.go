@@ -46,6 +46,7 @@ func TestSimConfigValidate(t *testing.T) {
 		{"nil db", base, jobs, false, "profile DB is nil"},
 		{"zero max scale", mod(func(c *SimConfig) { c.MaxScale = 0 }), jobs, true, "MaxScale"},
 		{"bad alpha", mod(func(c *SimConfig) { c.Alpha = 1.5 }), jobs, true, "Alpha"},
+		{"NaN alpha", mod(func(c *SimConfig) { c.Alpha = math.NaN() }), jobs, true, "Alpha"},
 	}
 	for _, tc := range cases {
 		d := db

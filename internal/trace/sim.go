@@ -89,7 +89,7 @@ func (cfg SimConfig) Validate(jobs []Job, db *profiler.DB, node hw.NodeSpec) err
 				return fmt.Errorf("trace: policy %s needs MaxScale >= 1, got %d", cfg.Policy, cfg.MaxScale)
 			}
 		}
-		if cfg.Policy == SNS && (cfg.Alpha <= 0 || cfg.Alpha > 1) {
+		if cfg.Policy == SNS && !(cfg.Alpha > 0 && cfg.Alpha <= 1) {
 			return fmt.Errorf("trace: SNS slowdown threshold Alpha must be in (0, 1], got %g", cfg.Alpha)
 		}
 	}
