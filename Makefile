@@ -47,7 +47,8 @@ check: build vet lint race bench-module
 # a cluster filled until most queries fail, where the remembered failures do their work; FuzzSortRuns
 # drives the cache's run-merge sort against slices.SortFunc;
 # FuzzIndexUpdateSpan drives the core index's word-batched span update
-# against the per-node Update loop; FuzzTwoSlotPlan drives the CE, CS
+# against the per-node Update loop, and the score cache's word-level
+# InvalidateSpan against the per-node Invalidate loop; FuzzTwoSlotPlan drives the CE, CS
 # and TwoSlot plans against the candidate-and-merge bodies they
 # replaced; FuzzQueueOrder drives the event
 # heap through exact time ties, cancellations and compaction against a

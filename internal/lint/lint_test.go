@@ -291,6 +291,7 @@ func TestHotpathCoverage(t *testing.T) {
 		"(*spreadnshare/internal/placement.Search).provenShort",
 		"(*spreadnshare/internal/placement.Search).rememberFailure",
 		"(*spreadnshare/internal/placement.Search).score",
+		"spreadnshare/internal/placement.scoreOf",
 		"(*spreadnshare/internal/placement.Search).fits",
 		"(*spreadnshare/internal/placement.Search).placeSNS",
 		"(*spreadnshare/internal/placement.Search).placeCS",

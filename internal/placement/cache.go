@@ -2,10 +2,12 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
 	"spreadnshare/internal/hw"
+	"spreadnshare/internal/units"
 )
 
 // cacheEntry is one filed (score, id) key in a bucket's ordered lists.
@@ -24,9 +26,11 @@ type cacheEntry struct {
 // FindDemand selects in — so a grouped search reads its n winners off
 // the front of a bucket instead of scanning, rescoring and sorting it.
 //
-// Mutations are O(1): backends call Invalidate(id) after every
+// Mutations are O(1) per node: backends call Invalidate(id) after every
 // reservation change (SimState does it inside Reserve/Release), which
-// just sets the node's bit in the dirty bitset. Only svc wires a cache,
+// just sets the node's bit in the dirty bitset, and a span mutation's
+// InvalidateSpan sets a word's bits with one OR per run of ids in that
+// word. Only svc wires a cache,
 // and only under SNS, the one policy whose search calls FindDemand; the
 // testbed scheduler (internal/sched) runs on a few nodes, where building
 // and invalidating a cache per run costs more than scanning the buckets
@@ -37,9 +41,14 @@ type cacheEntry struct {
 //
 //   - flush (top of every cached search, right after the remembered
 //     failures re-test the dirty nodes): the bitset is drained in
-//     ascending node-id order — its only order — and each dirty node is
-//     rescored once, however many times it was invalidated since the
-//     last search. A node whose (score, bucket) key did not move keeps
+//     ascending node-id order — its only order — and each dirty node's
+//     state (used cores, allocated bandwidth, allocated ways) is read
+//     once, however many times it was invalidated since the last
+//     search: from SimState's arrays when the view is one, through
+//     NodeView otherwise. The score is a pure function of that state
+//     and a span's nodes share it, so it is evaluated once per run of
+//     equal state (ten fig20_sns inputs drain 29.8 M nodes and evaluate
+//     16 K scores). A node whose (score, bucket) key did not move keeps
 //     the entry it has; any other gets a fresh entry appended to its
 //     current bucket's pending adds.
 //   - prepare (first touch of a bucket per search): pending adds are
@@ -134,13 +143,21 @@ func (c *ScoreCache) Invalidate(id int) {
 // InvalidateSpan marks every node in ids stale in one call — the
 // round-coalesced form of Invalidate that SimState's span mutations
 // feed: the change hook fires once per placement round instead of once
-// per node. The dirty set lands exactly as the per-node Invalidate loop
-// would leave it.
+// per node. Each run of ids that share a bitset word costs one OR, and
+// the count grows by the bits that run newly set, so the dirty set and
+// its count land exactly as the per-node Invalidate loop would leave
+// them, in any id order.
 //
 //sns:hotpath
 func (c *ScoreCache) InvalidateSpan(ids []int) {
-	for _, id := range ids {
-		c.Invalidate(id)
+	for i := 0; i < len(ids); {
+		w := ids[i] >> 6
+		var mask uint64
+		for ; i < len(ids) && ids[i]>>6 == w; i++ {
+			mask |= 1 << (ids[i] & 63)
+		}
+		c.ndirty += bits.OnesCount64(mask &^ c.dirty[w])
+		c.dirty[w] |= mask
 	}
 }
 
@@ -245,35 +262,55 @@ func (c *ScoreCache) live(e cacheEntry, f int, idx *CoreIndex) bool {
 }
 
 // flush folds pending invalidations into the cache: each dirty node is
-// rescored once via score (the canonical expression over the live view)
-// and, if its (score, bucket) key moved, refiled under its current
-// free-core bucket as a pending add. The node's old entry — wherever it
-// is — goes stale by key mismatch. A node whose key did not move (a
-// short job came and went between two searches) is not refiled: no fold
-// ran while it was dirty, so the entry it was last filed under is still
-// in that bucket's lists. Buckets whose backlog outgrew four times their
-// live population are folded eagerly so untouched buckets cannot
-// accumulate unbounded garbage.
+// rescored once with scoreOf over its live state and, if its (score,
+// bucket) key moved, refiled under its current free-core bucket as a
+// pending add. The node's old entry — wherever it is — goes stale by key
+// mismatch. A node whose key did not move (a short job came and went
+// between two searches) is not refiled: no fold ran while it was dirty,
+// so the entry it was last filed under is still in that bucket's lists.
+// Buckets whose backlog outgrew four times their live population are
+// folded eagerly so untouched buckets cannot accumulate unbounded
+// garbage.
 //
 // The bitset drains in ascending node-id order, so the rescore sequence
 // is a function of the dirty SET, not of the order the round's mutations
-// arrived in, the backend reads walk the capacity arrays sequentially,
+// arrived in, the state reads walk the capacity arrays sequentially,
 // and each bucket's pending adds are filed id-ascending — sorted
-// already wherever neighbours share a score.
+// already wherever neighbours share a score. A span's nodes share their
+// state too, so the score is evaluated only where a node's (used cores,
+// allocated bandwidth, allocated ways) differs from the previous dirty
+// node's, and reused otherwise. The state is read from a *SimState's
+// arrays when view is one — asserted once per flush — and through
+// NodeView otherwise, one read of each per drained node.
 //
 // Search.settle is the only caller: the search's remembered failures
 // re-test the dirty set before it is drained here (failed.go).
 //
 //sns:hotpath
-func (c *ScoreCache) flush(idx *CoreIndex, score func(id int) float64) {
+func (c *ScoreCache) flush(idx *CoreIndex, view NodeView, spec hw.NodeSpec, beta float64) {
 	if c.ndirty == 0 {
 		return
 	}
+	sim, _ := view.(*SimState)
+	// The previous dirty node's state and score. A NaN bandwidth equals
+	// nothing, so the first node is always scored.
+	used, bw, ways, s := 0, math.NaN(), units.Ways(0), 0.0
 	for w, word := range c.dirty {
 		for ; word != 0; word &= word - 1 {
 			id := w<<6 + bits.TrailingZeros64(word)
-			//lint:allocfree score is the caller's stack closure over Search.score; the runtime alloc gate verifies the cached search allocates only its results
-			s := score(id)
+			var u int
+			var b units.GBps
+			var wy units.Ways
+			if sim != nil {
+				u, b, wy = sim.UsedCores(id), sim.AllocBW(id), sim.AllocWays(id)
+			} else {
+				u, b, wy = view.UsedCores(id), view.AllocBW(id), view.AllocWays(id)
+			}
+			//lint:floateq scoreOf is pure, so equal inputs give equal outputs; NaN never compares equal, so a NaN state is rescored
+			if u != used || b.Float64() != bw || wy != ways {
+				used, bw, ways = u, b.Float64(), wy
+				s = scoreOf(u, b, wy, spec, beta)
+			}
 			f := idx.Free(id)
 			//lint:floateq an unmoved key is detected by exact match, the same test live applies to the entry it keeps
 			if s == c.score[id] && int(c.filed[id]) == f {

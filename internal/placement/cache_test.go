@@ -735,3 +735,50 @@ func TestNewScoreCacheRejectsBadShape(t *testing.T) {
 		}()
 	}
 }
+
+// TestFlushScoreReuseKeysOnWholeState holds the flush's score reuse to
+// the whole (used cores, allocated bandwidth, allocated ways) state. In
+// each block of five neighbours the second node repeats the first's
+// state and each later one differs from the node before it in exactly
+// one of the three, so a reuse keyed on fewer dimensions leaves some
+// node with its neighbour's score. Both state readers run: a *SimState
+// view's arrays and a wrapped view's NodeView calls.
+func TestFlushScoreReuseKeysOnWholeState(t *testing.T) {
+	const blocks = 12
+	spec := hw.DefaultNodeSpec()
+	for _, wrapped := range []bool{false, true} {
+		st := NewSimState(spec, 5*blocks)
+		s := &Search{View: st, Idx: st.Index(), Spec: spec, Nodes: st.Len(), Cache: NewScoreCache(st.Len(), spec.Cores.Int())}
+		if wrapped {
+			s.View = &countingView{NodeView: st}
+		}
+		st.SetOnChange(s.Cache.Invalidate)
+		s.settle() // file the idle cluster
+		for k := 0; k < blocks; k++ {
+			r := Reservation{Cores: 1 + k, Ways: units.Ways(k % 4), BW: units.GBps(5*k) + 0.25}
+			for i, step := range []func(){
+				func() {},              // the first node of the block
+				func() {},              // same state as its neighbour
+				func() { r.Cores++ },   // used cores only
+				func() { r.BW += 1.5 }, // allocated bandwidth only
+				func() { r.Ways++ },    // allocated ways only
+			} {
+				step()
+				st.Reserve(5*k+i, r)
+			}
+		}
+		if s.Cache.ndirty != st.Len() {
+			t.Fatalf("wrapped=%v: %d of %d nodes dirty before the flush", wrapped, s.Cache.ndirty, st.Len())
+		}
+		s.settle()
+		if err := s.Audit(); err != nil {
+			t.Errorf("wrapped=%v: %v", wrapped, err)
+		}
+		for id := 0; id < st.Len(); id++ {
+			want := nodeScoreOf(st, spec, id, s.beta())
+			if got := s.Cache.score[id]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("wrapped=%v: node %d cached score %v, nodeScoreOf %v", wrapped, id, got, want)
+			}
+		}
+	}
+}

@@ -63,11 +63,11 @@ func asksAtLeast(q, d core.Demand) bool {
 
 // canHost reports whether node id can host d right now: enough free cores
 // and every other dimension fits. It is the test a cached walk applies,
-// spelled once for upkeep and the audit.
+// spelled once for upkeep and the audit; sim is as for fits.
 //
 //sns:hotpath
-func (s *Search) canHost(id int, d core.Demand) bool {
-	return s.Idx.Free(id) >= d.Cores && s.fits(id, d)
+func (s *Search) canHost(sim *SimState, id int, d core.Demand) bool {
+	return s.Idx.Free(id) >= d.Cores && s.fits(sim, id, d)
 }
 
 // settle brings the cached search's derived state up to the backend:
@@ -81,9 +81,7 @@ func (s *Search) settle() {
 	if c.ndirty > 0 && len(s.failed) > 0 {
 		s.upkeep(c.dirty, c.ndirty)
 	}
-	beta := s.beta()
-	//lint:allocfree the rescore closure does not escape flush; the runtime alloc gate verifies stack allocation
-	c.flush(s.Idx, func(id int) float64 { return s.score(id, beta) })
+	c.flush(s.Idx, s.View, s.Spec, s.beta())
 }
 
 // upkeep charges every entry the ndirty nodes of the dirty bitset, drops
@@ -108,13 +106,14 @@ func (s *Search) upkeep(dirty []uint64, ndirty int) {
 	if len(kept) == 0 {
 		return
 	}
+	sim, _ := s.View.(*SimState)
 	for w, word := range dirty {
 		for ; word != 0; word &= word - 1 {
 			id := w<<6 + bits.TrailingZeros64(word)
 			bit := uint64(1) << (id & 63)
 			for i := range kept {
 				b := &kept[i]
-				in := s.canHost(id, b.d)
+				in := s.canHost(sim, id, b.d)
 				if in == (b.hosts[w]&bit != 0) {
 					continue
 				}
@@ -225,7 +224,7 @@ func (s *Search) auditFailures() error {
 			if dirty[w]&bit != 0 {
 				continue
 			}
-			if want, have := s.canHost(id, b.d), b.hosts[w]&bit != 0; want != have {
+			if want, have := s.canHost(nil, id, b.d), b.hosts[w]&bit != 0; want != have {
 				return fmt.Errorf("placement: clean node %d can host %+v: %v, but the remembered failure says %v", id, b.d, want, have)
 			}
 		}

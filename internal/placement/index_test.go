@@ -221,7 +221,9 @@ func seq(lo, hi int) []int {
 // The first half of ops sets free counts node by node; each byte of the
 // second half is a span id: with its high bit set, a jump to a fresh
 // position, otherwise a step of -1 to +6 from the last id, so spans are
-// dense within words, cross them, go backwards and repeat.
+// dense within words, cross them, go backwards and repeat. The same span
+// drives ScoreCache.InvalidateSpan against the per-node Invalidate loop,
+// from the partial dirty set the first half's nodes make.
 func FuzzIndexUpdateSpan(f *testing.F) {
 	f.Add(uint16(130), uint8(28), int8(-4), []byte{1, 2, 3, 4, 5, 6, 0x80, 1, 1, 0, 0x8f, 2, 2})
 	f.Add(uint16(65), uint8(8), int8(3), []byte{0, 9, 7, 7, 0xc0, 1, 1, 1, 0, 0})
@@ -229,11 +231,14 @@ func FuzzIndexUpdateSpan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nodes uint16, cores uint8, delta int8, ops []byte) {
 		n, c := 1+int(nodes)%300, 1+int(cores)%40
 		x, ref := NewCoreIndex(n, c), NewCoreIndex(n, c)
+		cx, cref := cleanScoreCache(n, c), cleanScoreCache(n, c)
 		half := len(ops) / 2
 		for k := 0; k+1 < half; k += 2 {
 			id, f := int(ops[k])*n/256, int(ops[k+1])%(c+1)
 			x.Update(id, f)
 			ref.Update(id, f)
+			cx.Invalidate(id)
+			cref.Invalidate(id)
 		}
 		ids := make([]int, 0, len(ops)-half)
 		id := 0
@@ -245,8 +250,24 @@ func FuzzIndexUpdateSpan(f *testing.F) {
 			}
 			ids = append(ids, id)
 		}
+		cx.InvalidateSpan(ids)
+		for _, id := range ids {
+			cref.Invalidate(id)
+		}
+		if !slices.Equal(cx.dirty, cref.dirty) || cx.ndirty != cref.ndirty {
+			t.Fatalf("InvalidateSpan(%v) left dirty %x (count %d), the Invalidate loop %x (count %d)",
+				ids, cx.dirty, cx.ndirty, cref.dirty, cref.ndirty)
+		}
 		updateSpanBoth(t, x, ref, ids, int(delta)%(c+1))
 	})
+}
+
+// cleanScoreCache returns a score cache with no node dirty.
+func cleanScoreCache(nodes, cores int) *ScoreCache {
+	c := NewScoreCache(nodes, cores)
+	clear(c.dirty)
+	c.ndirty = 0
+	return c
 }
 
 func TestPendingAgingAndOrder(t *testing.T) {

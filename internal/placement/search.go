@@ -441,6 +441,7 @@ func (s *Search) FindDemand(n int, d core.Demand) []int {
 		buf = &c.sortBuf // one merge buffer per search
 	}
 	beta := s.beta()
+	sim, _ := s.View.(*SimState)
 	all := s.scratch.pairs[:0]
 	for f := max(d.Cores, 0); f <= s.Spec.Cores.Int(); f++ {
 		if s.Idx.Count(f) == 0 {
@@ -451,7 +452,7 @@ func (s *Search) FindDemand(n int, d core.Demand) []int {
 			c.prepare(f, s.Idx)
 			//lint:allocfree closure does not escape walk; the runtime alloc gate verifies stack allocation
 			c.walk(f, s.Idx, func(id int32, sc float64) bool {
-				if s.fits(int(id), d) {
+				if s.fits(sim, int(id), d) {
 					all = append(all, cacheEntry{score: sc, id: id})
 				}
 				return s.NoGrouping || len(all)-start < n
@@ -459,7 +460,7 @@ func (s *Search) FindDemand(n int, d core.Demand) []int {
 		} else {
 			//lint:allocfree closure does not escape Scan; the runtime alloc gate verifies stack allocation
 			s.Idx.Scan(f, func(id int) bool {
-				if s.fits(id, d) {
+				if s.fits(sim, id, d) {
 					all = append(all, cacheEntry{score: s.score(id, beta), id: int32(id)})
 				}
 				return true
@@ -496,22 +497,23 @@ func idsOf(ents []cacheEntry) []int {
 
 // fits checks the non-core demand dimensions (cores are pre-filtered by
 // the index bucket). Each dimension binds only when requested (> 0).
+// sim is s.View as a *SimState, asserted once by the caller so that a
+// search over the simulator reads its arrays without an interface call
+// per node; nil reads through View.
 //
 //sns:hotpath
-func (s *Search) fits(id int, d core.Demand) bool {
-	if d.Ways > 0 && s.View.FreeWays(id) < d.Ways {
-		return false
+func (s *Search) fits(sim *SimState, id int, d core.Demand) bool {
+	if sim != nil {
+		return !(d.Ways > 0 && sim.FreeWays(id) < d.Ways) &&
+			!(d.BW > 0 && sim.FreeBW(id) < d.BW) &&
+			!(d.MemGB > 0 && sim.FreeMem(id) < d.MemGB) &&
+			!(d.IOBW > 0 && sim.FreeIO(id) < d.IOBW)
 	}
-	if d.BW > 0 && s.View.FreeBW(id) < d.BW {
-		return false
-	}
-	if d.MemGB > 0 && s.View.FreeMem(id) < d.MemGB {
-		return false
-	}
-	if d.IOBW > 0 && s.View.FreeIO(id) < d.IOBW {
-		return false
-	}
-	return true
+	v := s.View
+	return !(d.Ways > 0 && v.FreeWays(id) < d.Ways) &&
+		!(d.BW > 0 && v.FreeBW(id) < d.BW) &&
+		!(d.MemGB > 0 && v.FreeMem(id) < d.MemGB) &&
+		!(d.IOBW > 0 && v.FreeIO(id) < d.IOBW)
 }
 
 // score is the SNS node-selection metric Co + Bo + beta*Wo, built from
@@ -524,16 +526,25 @@ func (s *Search) score(id int, beta float64) float64 {
 	return nodeScoreOf(s.View, s.Spec, id, beta)
 }
 
-// nodeScoreOf is the one canonical spelling of the score expression,
-// shared by the live search, the cache flush, and the cache audit — a
-// single compiled expression is what makes cached and recomputed floats
-// bit-identical.
+// nodeScoreOf reads a node's state through view and scores it with
+// scoreOf.
 //
 //sns:hotpath
 func nodeScoreOf(view NodeView, spec hw.NodeSpec, id int, beta float64) float64 {
-	co := float64(view.UsedCores(id)) / spec.Cores.Float64()
-	bo := view.AllocBW(id).Float64() / spec.PeakBandwidth.Float64()
-	wo := view.AllocWays(id).Float64() / spec.LLCWays.Float64()
+	return scoreOf(view.UsedCores(id), view.AllocBW(id), view.AllocWays(id), spec, beta)
+}
+
+// scoreOf is the one canonical spelling of the score expression, a pure
+// function of a node's used cores, allocated bandwidth and allocated
+// ways. The live search, the cache flush and the cache audit all reach
+// it, and a single compiled expression is what makes cached and
+// recomputed floats bit-identical.
+//
+//sns:hotpath
+func scoreOf(used int, bw units.GBps, ways units.Ways, spec hw.NodeSpec, beta float64) float64 {
+	co := float64(used) / spec.Cores.Float64()
+	bo := bw.Float64() / spec.PeakBandwidth.Float64()
+	wo := ways.Float64() / spec.LLCWays.Float64()
 	return co + bo + beta*wo
 }
 

@@ -56,7 +56,7 @@ func linearFindDemand(s *Search, n int, d core.Demand) []int {
 	buckets := make([][]int, s.Spec.Cores.Int()+1)
 	for id := 0; id < s.Nodes; id++ {
 		f := s.Idx.Free(id)
-		if f >= minFree && s.fits(id, d) {
+		if f >= minFree && s.fits(nil, id, d) {
 			buckets[f] = append(buckets[f], id)
 		}
 	}
@@ -167,8 +167,11 @@ func TestLinearReferenceAgrees(t *testing.T) {
 // countingView wraps a Search's NodeView and counts what the kernel
 // reads through it, which is how the work gates price a search without
 // a clock: a score evaluation is one UsedCores call (nodeScoreOf reads
-// it exactly once per score and nothing else does), a capacity read is
-// one call of a Free* method (the feasibility checks of fits).
+// it once per score, the cache flush once per drained node whether it
+// evaluates the score or reuses its neighbour's, and nothing else
+// does), a capacity read is one call of a Free* method (the feasibility
+// checks of fits). A wrapped view is not a *SimState, so the kernel
+// reads it through the interface.
 type countingView struct {
 	NodeView
 	scores, reads int

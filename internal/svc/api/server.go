@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -524,10 +525,11 @@ const maxSubmitBody = 1 << 20
 // when the scheduler goroutine drains the op into its next batched
 // round. Specs with a Name are idempotent: a retry of an already-applied
 // submission resolves to the existing job. A spec is a dozen scalars, so
-// the body is read up to maxSubmitBody and no further.
+// the body is read up to maxSubmitBody and no further, and it must hold
+// the spec alone: anything after it but whitespace answers 400.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec svc.JobSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&spec); err != nil {
+	if err := decodeOne(http.MaxBytesReader(w, r.Body, maxSubmitBody), &spec); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -560,6 +562,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/v1/ops/"+op.ID)
 	writeJSON(w, http.StatusAccepted, op)
+}
+
+// decodeOne decodes body as exactly one JSON value into v: data after
+// the value, even a second valid one, is an error, so a malformed body
+// never admits what its first value spelled. Trailing whitespace is fine.
+func decodeOne(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+		return err
+	}
+	return nil
 }
 
 // resolveProfile looks a spec's program up in the daemon's profile DB.

@@ -179,6 +179,26 @@ func TestSubmitFailures(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty body accepted with %d", resp.StatusCode)
 	}
+	// A valid spec with anything but whitespace after it is malformed
+	// too: a second object, trailing garbage or a stray brace answers 400
+	// and admits nothing.
+	for i, tail := range []string{` {"program":"EP"}`, ` trailing`, `}`} {
+		body, err := json.Marshal(mgSpec(fmt.Sprintf("tail-%d", i), 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(string(body)+tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec followed by %q answered %d, want 400", tail, resp.StatusCode)
+		}
+		if st, err := c.Stats(); err != nil || st.Submitted != 0 {
+			t.Errorf("after the spec followed by %q: stats %+v, %v; want nothing admitted", tail, st, err)
+		}
+	}
 	// A body past the 1 MiB cap is refused as too large, valid JSON or
 	// not, and the daemon keeps serving.
 	huge := `{"name":"` + strings.Repeat("a", 2<<20) + `","program":"MG","base_nodes":2,"cores_per_node":16}`
