@@ -14,8 +14,11 @@ vet:
 # lint runs the snslint multichecker (internal/lint via cmd/snslint):
 # the determinism passes over the deterministic packages plus the Wide
 # concurrency and state-integrity passes (confine/guardedby/goleak,
-# statefield/exhaustive) over every package. Findings are
-# hard failures; suppressions need a justified //lint: directive.
+# statefield/exhaustive) over every package. One go list -deps -export
+# feeds the loader: module packages are type-checked from source once,
+# the standard library comes from export data, and the packages are
+# analyzed one after another. Findings are hard failures; suppressions
+# need a justified //lint: directive.
 lint:
 	$(GO) run ./cmd/snslint ./...
 

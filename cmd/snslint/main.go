@@ -19,9 +19,8 @@
 // allocfree, the concurrency trio, and the state-integrity pair)
 // resolve calls and types across it, so run the full module (the
 // default ./...) rather than a subset — analyzing a slice of the module
-// leaves boundary calls unresolvable. After the shared caches are
-// warmed, packages are analyzed in parallel through par.ForEach;
-// findings are reported in position order either way. Findings are
+// leaves boundary calls unresolvable. Packages are analyzed one after
+// another and findings are reported in position order. Findings are
 // suppressed line by line with a justified directive, e.g.
 //
 //	//lint:ordered ids are sorted before use
@@ -83,19 +82,17 @@ func main() {
 			checked++
 		}
 	}
-	// Packages fan out over par.ForEach; RunParallel sorts the merged
-	// findings by position, so the output is byte-identical at any width.
-	diags := lint.RunParallel(prog, func(p *lint.Package) []lint.Diagnostic {
+	var diags []lint.Diagnostic
+	for _, p := range pkgs {
 		det := lint.DeterministicPackages[p.Path]
-		var out []lint.Diagnostic
 		for _, a := range lint.Analyzers() {
 			if !*all && !det && !a.Wide {
 				continue
 			}
-			out = append(out, lint.Run(a, prog, p)...)
+			diags = append(diags, lint.Run(a, prog, p)...)
 		}
-		return out
-	})
+	}
+	lint.SortDiagnostics(diags)
 	findings := []jsonFinding{}
 	for _, d := range diags {
 		if !*jsonOut {

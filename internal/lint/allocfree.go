@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 )
 
 // Allocfree statically proves //sns:hotpath-annotated functions free of
@@ -77,16 +78,8 @@ func (pr *Program) AllocfreeCovered() []string {
 	for name := range pr.allocHot {
 		out = append(out, name)
 	}
-	insertionSortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func insertionSortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && s[k-1] > s[k]; k-- {
-			s[k-1], s[k] = s[k], s[k-1]
-		}
-	}
 }
 
 // allocFindings runs the interprocedural proof once per Program and

@@ -10,7 +10,7 @@ import (
 // time budget charges it once (see .github/workflows/ci.yml).
 func BenchmarkLoadRepo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pkgs, err := Load("./...")
+		pkgs, err := Load("spreadnshare/...")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +62,6 @@ func BenchmarkAnalyzeState(b *testing.B) {
 		b.Fatal(err)
 	}
 	passes := []*Analyzer{Statefield, Exhaustive}
-	prog.Warm()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
@@ -73,58 +72,6 @@ func BenchmarkAnalyzeState(b *testing.B) {
 		}
 		if n != 0 {
 			b.Fatalf("repo is not state-clean: %d findings", n)
-		}
-	}
-}
-
-// BenchmarkWideSerial and BenchmarkWideParallel record the before/after
-// of fanning the Wide passes out over internal/par (the cmd/snslint and
-// TestRepoIsClean execution shape). The parallel speedup is bounded by
-// the pool width — on a single-CPU runner the two are equivalent and
-// the comparison just prices RunParallel's result slots and sort.
-func BenchmarkWideSerial(b *testing.B) {
-	prog, err := LoadRepoProgram()
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog.Warm()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var diags []Diagnostic
-		for _, p := range prog.Packages {
-			for _, a := range Analyzers() {
-				if !a.Wide {
-					continue
-				}
-				diags = append(diags, Run(a, prog, p)...)
-			}
-		}
-		if len(diags) != 0 {
-			b.Fatalf("repo is not lint-clean: %d findings", len(diags))
-		}
-	}
-}
-
-func BenchmarkWideParallel(b *testing.B) {
-	prog, err := LoadRepoProgram()
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog.Warm()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		diags := RunParallel(prog, func(p *Package) []Diagnostic {
-			var out []Diagnostic
-			for _, a := range Analyzers() {
-				if !a.Wide {
-					continue
-				}
-				out = append(out, Run(a, prog, p)...)
-			}
-			return out
-		})
-		if len(diags) != 0 {
-			b.Fatalf("repo is not lint-clean: %d findings", len(diags))
 		}
 	}
 }

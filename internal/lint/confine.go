@@ -155,7 +155,6 @@ type confData struct {
 func (pr *Program) confineFindings() map[*types.Package][]posFinding {
 	pr.confOnce.Do(func() {
 		pr.confMap = map[*types.Package][]posFinding{}
-		pr.index()
 		d := &confData{tainted: map[string]bool{}}
 		for _, pkg := range pr.Packages {
 			for _, f := range pkg.Files {

@@ -31,7 +31,6 @@ func runExhaustive(pass *Pass) {
 		return
 	}
 	pr := pass.Prog
-	pr.index()
 	if len(pr.enums) == 0 {
 		return
 	}

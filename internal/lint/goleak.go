@@ -58,7 +58,6 @@ type leakIndex struct {
 func (pr *Program) goleakFindings() map[*types.Package][]posFinding {
 	pr.leakOnce.Do(func() {
 		pr.leakMap = map[*types.Package][]posFinding{}
-		pr.index()
 		idx := &leakIndex{closes: map[any]bool{}, recvs: map[any]bool{}, waits: map[any]bool{}}
 		for _, pkg := range pr.Packages {
 			for _, f := range pkg.Files {

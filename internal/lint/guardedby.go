@@ -46,7 +46,6 @@ func runGuardedby(pass *Pass) {
 	if pass.Prog == nil {
 		return
 	}
-	pass.Prog.index()
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

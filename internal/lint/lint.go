@@ -74,8 +74,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-
-	"spreadnshare/internal/par"
 )
 
 // An Analyzer describes one static-analysis pass. It mirrors the shape
@@ -236,16 +234,7 @@ func Run(a *Analyzer, prog *Program, pkg *Package) []Diagnostic {
 			}
 		}
 	}
-	sort.Slice(p.diags, func(i, k int) bool {
-		a, b := p.diags[i].Pos, p.diags[k].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
+	SortDiagnostics(p.diags)
 	return p.diags
 }
 
@@ -262,28 +251,12 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// RunParallel runs the given per-package analysis over every package of
-// prog through par.ForEach and returns the merged findings in a fixed
-// order — sorted by file, line, column, then analyzer name — so the
-// output is byte-identical at any worker width. The program-wide caches
-// are warmed on the calling goroutine first; after that the per-package
-// work only reads immutable type information and replays cached
-// findings, so the fan-out is race-free. Each package writes only its
-// own pre-sized result slot (the ForEach contract), and ForEach runs
-// inline at width 1.
-func RunParallel(prog *Program, analyze func(*Package) []Diagnostic) []Diagnostic {
-	prog.Warm()
-	results := make([][]Diagnostic, len(prog.Packages))
-	_ = par.ForEach(len(prog.Packages), func(i int) error {
-		results[i] = analyze(prog.Packages[i])
-		return nil
-	})
-	var out []Diagnostic
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	sort.SliceStable(out, func(i, k int) bool {
-		a, b := out[i].Pos, out[k].Pos
+// SortDiagnostics orders findings merged from several packages and
+// analyzers by file, line, column, then analyzer name, so a report
+// does not depend on the order the packages were loaded in.
+func SortDiagnostics(diags []Diagnostic) {
+	sort.SliceStable(diags, func(i, k int) bool {
+		a, b := diags[i].Pos, diags[k].Pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
 		}
@@ -293,9 +266,8 @@ func RunParallel(prog *Program, analyze func(*Package) []Diagnostic) []Diagnosti
 		if a.Column != b.Column {
 			return a.Column < b.Column
 		}
-		return out[i].Analyzer < out[k].Analyzer
+		return diags[i].Analyzer < diags[k].Analyzer
 	})
-	return out
 }
 
 // DeterministicPackages is the set of import paths whose runtime code

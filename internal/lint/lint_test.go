@@ -150,12 +150,9 @@ func TestStatefieldMutation(t *testing.T) {
 // contract cannot drift even where only the test suite runs. The
 // deterministic packages get every pass; everything else (the daemon,
 // CLI glue, examples) still gets the Wide concurrency and
-// state-integrity passes. Packages fan out over RunParallel, exactly as
-// cmd/snslint runs them.
+// state-integrity passes. Packages are analyzed in order and the
+// findings sorted by position, exactly as cmd/snslint runs them.
 func TestRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repo-wide lint needs go list + full type-checking")
-	}
 	prog, err := LoadRepoProgram()
 	if err != nil {
 		t.Fatalf("loading repo: %v", err)
@@ -166,17 +163,17 @@ func TestRepoIsClean(t *testing.T) {
 			checked++
 		}
 	}
-	diags := RunParallel(prog, func(p *Package) []Diagnostic {
+	var diags []Diagnostic
+	for _, p := range prog.Packages {
 		det := DeterministicPackages[p.Path]
-		var out []Diagnostic
 		for _, a := range Analyzers() {
 			if !det && !a.Wide {
 				continue
 			}
-			out = append(out, Run(a, prog, p)...)
+			diags = append(diags, Run(a, prog, p)...)
 		}
-		return out
-	})
+	}
+	SortDiagnostics(diags)
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
@@ -192,14 +189,11 @@ func TestRepoIsClean(t *testing.T) {
 // from svc.Cluster or //sns:guardedby from the daemon's op table fails
 // this test, not just quietly stops linting.
 func TestConcurrencyAnnotationCoverage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repo-wide lint needs go list + full type-checking")
-	}
 	prog, err := LoadRepoProgram()
 	if err != nil {
 		t.Fatalf("loading repo: %v", err)
 	}
-	ownedTypes, ownedFields := prog.OwnedState()
+	ownedTypes, ownedFields := prog.owned, prog.ownedField
 	wantOwnedTypes := map[string]string{
 		"spreadnshare/internal/svc.Cluster": "core",
 	}
@@ -217,7 +211,7 @@ func TestConcurrencyAnnotationCoverage(t *testing.T) {
 			t.Errorf("field %s: owner = %q, want %q (//sns:owner missing or changed)", key, got, owner)
 		}
 	}
-	guarded := prog.GuardedFields()
+	guarded := prog.guarded
 	for _, fld := range []string{"seq", "ops", "pending"} {
 		key := "spreadnshare/internal/svc/api.opTable." + fld
 		if got := guarded[key]; got != "mu" {
@@ -259,9 +253,6 @@ func TestConcurrencyAnnotationCoverage(t *testing.T) {
 // attempt around it and the span mutations) must be reachable from a
 // //sns:hotpath root and therefore statically analyzed.
 func TestHotpathCoverage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repo-wide lint needs go list + full type-checking")
-	}
 	prog, err := LoadRepoProgram()
 	if err != nil {
 		t.Fatalf("loading repo: %v", err)
@@ -326,25 +317,21 @@ func TestHotpathCoverage(t *testing.T) {
 // //sns:derived, or //sns:enum marker must fail this test instead of
 // silently shrinking what gets linted.
 func TestStateAnnotationCoverage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repo-wide lint needs go list + full type-checking")
-	}
 	prog, err := LoadRepoProgram()
 	if err != nil {
 		t.Fatalf("loading repo: %v", err)
 	}
-	pairs := prog.PersistPairs()
 	wantPairs := map[string]string{
 		"spreadnshare/internal/svc.Cluster":     "snapshot",
 		"spreadnshare/internal/svc.Job":         "jobRecord",
 		"spreadnshare/internal/svc/api.opTable": "daemonSnapshot",
 	}
 	for key, mirror := range wantPairs {
-		if got := pairs[key]; got != mirror {
-			t.Errorf("type %s: persist mirror = %q, want %q (//sns:persist missing or changed)", key, got, mirror)
+		if p := prog.persist[key]; p == nil || p.mirror != mirror {
+			t.Errorf("type %s: no //sns:persist naming mirror %q (missing or changed)", key, mirror)
 		}
 	}
-	derived := prog.DerivedFields()
+	derived := prog.derived
 	wantDerived := map[string]string{
 		"spreadnshare/internal/svc.Job.req":             "buildReq",
 		"spreadnshare/internal/svc.Cluster.search":      "New",
@@ -359,17 +346,13 @@ func TestStateAnnotationCoverage(t *testing.T) {
 			t.Errorf("field %s: derived = %q, want %q (//sns:derived missing or changed)", key, got, fn)
 		}
 	}
-	enums := map[string]bool{}
-	for _, key := range prog.EnumTypes() {
-		enums[key] = true
-	}
 	for _, key := range []string{
 		"spreadnshare/internal/svc.JobState",
 		"spreadnshare/internal/placement.Policy",
 		"spreadnshare/internal/exec.State",
 		"spreadnshare/internal/svc/api.OpStatus",
 	} {
-		if !enums[key] {
+		if !prog.enums[key] {
 			t.Errorf("type %s has no //sns:enum annotation", key)
 		}
 	}

@@ -4,25 +4,25 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 	"sync"
 )
 
-// A Program bundles every loaded package with lazily-built cross-package
-// indexes, so the interprocedural passes (unitflow, allocfree) can follow
-// declarations and calls across package boundaries while the repo is
-// type-checked exactly once per process.
+// A Program bundles every loaded package with the cross-package indexes
+// built over them, so the interprocedural passes (unitflow, allocfree)
+// can follow declarations and calls across package boundaries while the
+// repo is type-checked exactly once per process.
 //
-// Identity note: the loader type-checks each target package directly and
-// resolves its imports through a shared source importer, so the same
-// package can exist twice in the type universe (once checked directly,
-// once as somebody's import). All indexes are therefore keyed by stable
-// strings — (*types.Func).FullName() for functions, "pkgpath.Name" for
-// types — never by object pointers.
+// Identity note: the loader checks each module package once and serves
+// every later import of it from that check, so a loaded package exists
+// once in the type universe. The indexes stay keyed by stable strings —
+// (*types.Func).FullName() for functions, "pkgpath.Name" for types —
+// because those are the names the annotations and the coverage tests
+// speak in.
 type Program struct {
 	Packages []*Package
 
-	once     sync.Once
 	funcs    map[string]*SrcFunc // (*types.Func).FullName() -> declaration
 	units    map[string]bool     // "pkgpath.Name" of //sns:unit types
 	hotroots []*SrcFunc          // //sns:hotpath functions, in load order
@@ -46,8 +46,7 @@ type Program struct {
 	derived map[string]string
 	enums   map[string]bool
 
-	implMu sync.Mutex
-	impls  map[string][]*SrcFunc // interface-method FullName -> source impls
+	impls map[string][]*SrcFunc // interface-method FullName -> source impls
 
 	allocOnce sync.Once
 	allocHot  map[string]*SrcFunc
@@ -71,10 +70,12 @@ type SrcFunc struct {
 	Obj  *types.Func
 }
 
-// NewProgram wraps loaded packages for interprocedural analysis. Index
-// construction is deferred until a pass first needs it.
+// NewProgram wraps loaded packages for interprocedural analysis and
+// builds the function and annotation indexes over them.
 func NewProgram(pkgs []*Package) *Program {
-	return &Program{Packages: pkgs}
+	pr := &Program{Packages: pkgs}
+	pr.index()
+	return pr
 }
 
 // hasMarker reports whether the doc comment carries the //sns:<name>
@@ -113,83 +114,82 @@ func markerArgs(doc *ast.CommentGroup, name string) ([]string, bool) {
 	return nil, false
 }
 
-// index builds the function and unit-type tables on first use.
+// index builds the function, unit-type and annotation tables.
 func (pr *Program) index() {
-	pr.once.Do(func() {
-		pr.funcs = map[string]*SrcFunc{}
-		pr.units = map[string]bool{}
-		pr.owned = map[string]string{}
-		pr.ownedField = map[string]string{}
-		pr.guarded = map[string]string{}
-		pr.persist = map[string]*persistPair{}
-		pr.derived = map[string]string{}
-		pr.enums = map[string]bool{}
-		for _, pkg := range pr.Packages {
-			for _, f := range pkg.Files {
-				for _, decl := range f.Decls {
-					switch d := decl.(type) {
-					case *ast.FuncDecl:
-						fn, ok := pkg.Info.Defs[d.Name].(*types.Func)
+	pr.funcs = map[string]*SrcFunc{}
+	pr.units = map[string]bool{}
+	pr.owned = map[string]string{}
+	pr.ownedField = map[string]string{}
+	pr.guarded = map[string]string{}
+	pr.persist = map[string]*persistPair{}
+	pr.derived = map[string]string{}
+	pr.enums = map[string]bool{}
+	pr.impls = map[string][]*SrcFunc{}
+	for _, pkg := range pr.Packages {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					fn, ok := pkg.Info.Defs[d.Name].(*types.Func)
+					if !ok {
+						continue
+					}
+					sf := &SrcFunc{Pkg: pkg, Decl: d, Obj: fn}
+					pr.funcs[fn.FullName()] = sf
+					if hasMarker(d.Doc, "sns:hotpath") {
+						pr.hotroots = append(pr.hotroots, sf)
+					}
+				case *ast.GenDecl:
+					if d.Tok != token.TYPE {
+						continue
+					}
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
 						if !ok {
 							continue
 						}
-						sf := &SrcFunc{Pkg: pkg, Decl: d, Obj: fn}
-						pr.funcs[fn.FullName()] = sf
-						if hasMarker(d.Doc, "sns:hotpath") {
-							pr.hotroots = append(pr.hotroots, sf)
+						typeKey := pkg.Path + "." + ts.Name.Name
+						if hasMarker(ts.Doc, "sns:unit") ||
+							(len(d.Specs) == 1 && hasMarker(d.Doc, "sns:unit")) {
+							pr.units[typeKey] = true
 						}
-					case *ast.GenDecl:
-						if d.Tok != token.TYPE {
+						if args, ok := markerArgs(ts.Doc, "sns:owner"); ok && len(args) == 1 {
+							pr.owned[typeKey] = args[0]
+						} else if len(d.Specs) == 1 {
+							if args, ok := markerArgs(d.Doc, "sns:owner"); ok && len(args) == 1 {
+								pr.owned[typeKey] = args[0]
+							}
+						}
+						if hasMarker(ts.Doc, "sns:enum") ||
+							(len(d.Specs) == 1 && hasMarker(d.Doc, "sns:enum")) {
+							pr.enums[typeKey] = true
+						}
+						if args, ok := typeMarkerArgs(d, ts, "sns:persist"); ok && len(args) == 1 {
+							pr.persist[typeKey] = &persistPair{
+								pkg:     pkg,
+								spec:    ts,
+								liveKey: typeKey,
+								mirror:  args[0],
+							}
+						}
+						st, ok := ts.Type.(*ast.StructType)
+						if !ok {
 							continue
 						}
-						for _, spec := range d.Specs {
-							ts, ok := spec.(*ast.TypeSpec)
-							if !ok {
-								continue
-							}
-							typeKey := pkg.Path + "." + ts.Name.Name
-							if hasMarker(ts.Doc, "sns:unit") ||
-								(len(d.Specs) == 1 && hasMarker(d.Doc, "sns:unit")) {
-								pr.units[typeKey] = true
-							}
-							if args, ok := markerArgs(ts.Doc, "sns:owner"); ok && len(args) == 1 {
-								pr.owned[typeKey] = args[0]
-							} else if len(d.Specs) == 1 {
-								if args, ok := markerArgs(d.Doc, "sns:owner"); ok && len(args) == 1 {
-									pr.owned[typeKey] = args[0]
+						for _, fld := range st.Fields.List {
+							if args, ok := markerArgs(fld.Doc, "sns:owner"); ok && len(args) == 1 {
+								for _, nm := range fld.Names {
+									pr.ownedField[typeKey+"."+nm.Name] = args[0]
 								}
 							}
-							if hasMarker(ts.Doc, "sns:enum") ||
-								(len(d.Specs) == 1 && hasMarker(d.Doc, "sns:enum")) {
-								pr.enums[typeKey] = true
-							}
-							if args, ok := typeMarkerArgs(d, ts, "sns:persist"); ok && len(args) == 1 {
-								pr.persist[typeKey] = &persistPair{
-									pkg:     pkg,
-									spec:    ts,
-									liveKey: typeKey,
-									mirror:  args[0],
+							if args, ok := markerArgs(fld.Doc, "sns:guardedby"); ok && len(args) == 1 {
+								for _, nm := range fld.Names {
+									pr.guarded[typeKey+"."+nm.Name] = args[0]
 								}
 							}
-							st, ok := ts.Type.(*ast.StructType)
-							if !ok {
-								continue
-							}
-							for _, fld := range st.Fields.List {
-								if args, ok := markerArgs(fld.Doc, "sns:owner"); ok && len(args) == 1 {
-									for _, nm := range fld.Names {
-										pr.ownedField[typeKey+"."+nm.Name] = args[0]
-									}
-								}
-								if args, ok := markerArgs(fld.Doc, "sns:guardedby"); ok && len(args) == 1 {
-									for _, nm := range fld.Names {
-										pr.guarded[typeKey+"."+nm.Name] = args[0]
-									}
-								}
-								if args, ok := markerArgs(fld.Doc, "sns:derived"); ok && len(args) == 1 {
-									for _, nm := range fld.Names {
-										pr.derived[typeKey+"."+nm.Name] = args[0]
-									}
+							if args, ok := markerArgs(fld.Doc, "sns:derived"); ok && len(args) == 1 {
+								for _, nm := range fld.Names {
+									pr.derived[typeKey+"."+nm.Name] = args[0]
 								}
 							}
 						}
@@ -197,7 +197,7 @@ func (pr *Program) index() {
 				}
 			}
 		}
-	})
+	}
 }
 
 // typeMarkerArgs reads a marker off a type declaration, accepting both
@@ -213,82 +213,22 @@ func typeMarkerArgs(d *ast.GenDecl, ts *ast.TypeSpec, name string) ([]string, bo
 	return nil, false
 }
 
-// PersistPairs returns the //sns:persist annotation table: live type
-// keys ("pkgpath.Name") mapped to the mirror type's name in the same
-// package. Tests pin the real packages' annotations against this.
-func (pr *Program) PersistPairs() map[string]string {
-	pr.index()
-	out := map[string]string{}
-	for key, p := range pr.persist {
-		out[key] = p.mirror
-	}
-	return out
-}
-
-// DerivedFields returns the //sns:derived annotation table: field keys
-// ("pkgpath.Type.field") mapped to the rebuild function's name.
-func (pr *Program) DerivedFields() map[string]string {
-	pr.index()
-	return pr.derived
-}
-
-// EnumTypes returns the sorted type keys carrying //sns:enum.
-func (pr *Program) EnumTypes() []string {
-	pr.index()
-	var out []string
-	for key := range pr.enums {
-		out = append(out, key)
-	}
-	insertionSortStrings(out)
-	return out
-}
-
-// Warm forces every lazily-built index and cached whole-program analysis
-// serially, so a subsequent parallel per-package fan-out (RunParallel)
-// only reads shared state. Each computation is sync.Once-guarded, so
-// Warm is idempotent and cheap when already warm.
-func (pr *Program) Warm() {
-	pr.index()
-	pr.allocFindings()
-	pr.confineFindings()
-	pr.goleakFindings()
-	pr.statefieldFindings()
-}
-
-// OwnedState returns the //sns:owner annotation tables: confined type
-// keys ("pkgpath.Name") and confined field keys ("pkgpath.Type.field"),
-// each mapped to the owner-goroutine name. Tests pin the real packages'
-// annotations against these so a dropped marker fails the suite.
-func (pr *Program) OwnedState() (types, fields map[string]string) {
-	pr.index()
-	return pr.owned, pr.ownedField
-}
-
-// GuardedFields returns the //sns:guardedby annotation table: field keys
-// ("pkgpath.Type.field") mapped to the guarding mutex field's name.
-func (pr *Program) GuardedFields() map[string]string {
-	pr.index()
-	return pr.guarded
-}
-
 // MarkedFunctions returns the sorted FullNames of every function whose
 // doc comment carries the given //sns:<marker>.
 func (pr *Program) MarkedFunctions(marker string) []string {
-	pr.index()
 	var out []string
 	for name, sf := range pr.funcs {
 		if hasMarker(sf.Decl.Doc, marker) {
 			out = append(out, name)
 		}
 	}
-	insertionSortStrings(out)
+	sort.Strings(out)
 	return out
 }
 
 // FuncSource returns the source declaration of fn, if the program holds
 // one.
 func (pr *Program) FuncSource(fn *types.Func) (*SrcFunc, bool) {
-	pr.index()
 	sf, ok := pr.funcs[fn.FullName()]
 	return sf, ok
 }
@@ -296,14 +236,12 @@ func (pr *Program) FuncSource(fn *types.Func) (*SrcFunc, bool) {
 // HotpathRoots returns every //sns:hotpath-annotated function, in load
 // order.
 func (pr *Program) HotpathRoots() []*SrcFunc {
-	pr.index()
 	return pr.hotroots
 }
 
 // UnitType returns the defining *types.TypeName and its stable
 // "pkgpath.Name" key when t is a //sns:unit-marked defined type.
 func (pr *Program) UnitType(t types.Type) (*types.TypeName, string, bool) {
-	pr.index()
 	named, ok := t.(*types.Named)
 	if !ok {
 		return nil, "", false
@@ -325,13 +263,7 @@ func (pr *Program) UnitType(t types.Type) (*types.TypeName, string, bool) {
 // site against all of its possible targets. Results are cached per
 // interface method.
 func (pr *Program) Implementations(iface *types.Interface, m *types.Func) []*SrcFunc {
-	pr.index()
 	key := m.FullName()
-	pr.implMu.Lock()
-	defer pr.implMu.Unlock()
-	if pr.impls == nil {
-		pr.impls = map[string][]*SrcFunc{}
-	}
 	if out, ok := pr.impls[key]; ok {
 		return out
 	}

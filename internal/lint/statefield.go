@@ -70,7 +70,6 @@ type stateIndex struct {
 func (pr *Program) statefieldFindings() map[*types.Package][]posFinding {
 	pr.stateOnce.Do(func() {
 		pr.stateMap = map[*types.Package][]posFinding{}
-		pr.index()
 		if len(pr.persist) == 0 {
 			return
 		}

@@ -83,7 +83,8 @@ type Server struct {
 	cmds  chan func(now float64)
 	quit  chan struct{}
 	done  chan struct{}
-	once  sync.Once
+	start sync.Once // launches run, from Start or Shutdown
+	stop  sync.Once // closes quit
 	reqID atomic.Int64
 
 	// clock is written only during construction (//sns:ownerinit); after
@@ -179,7 +180,7 @@ func Load(cfg Config, db *profiler.DB) (*Server, error) {
 	}
 	defer f.Close()
 	var snap daemonSnapshot
-	if err := json.NewDecoder(f).Decode(&snap); err != nil {
+	if err := decodeOne(f, &snap); err != nil {
 		return nil, fmt.Errorf("api: decoding snapshot: %w", err)
 	}
 	if snap.Version != daemonSnapshotVersion {
@@ -205,18 +206,21 @@ func Load(cfg Config, db *profiler.DB) (*Server, error) {
 	return s, nil
 }
 
-// Start launches the scheduler goroutine. Serve the server (it is an
-// http.Handler) only after Start.
+// Start launches the scheduler goroutine, once however often it or
+// Shutdown is called. Serve the server (it is an http.Handler) only
+// after Start.
 func (s *Server) Start() {
-	go s.run()
+	s.start.Do(func() { go s.run() })
 }
 
 // Shutdown stops the scheduler goroutine: it drains every accepted
 // mutation (no op that got a 202 is lost), runs a final round, writes
 // the snapshot when configured, and closes the core. Stop the HTTP
-// listener before calling it; requests racing shutdown get 503.
+// listener before calling it; requests racing shutdown get 503. On a
+// server never started it starts the goroutine, which does the same.
 func (s *Server) Shutdown() error {
-	s.once.Do(func() { close(s.quit) })
+	s.Start()
+	s.stop.Do(func() { close(s.quit) })
 	<-s.done
 	//lint:confine read after <-s.done: the scheduler goroutine's exit (and its stopErr write) happens-before this load
 	return s.stopErr

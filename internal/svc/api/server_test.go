@@ -735,6 +735,89 @@ func TestLoadRejectsBadOps(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsTrailingData: a snapshot file holds exactly one JSON
+// document; anything after it is corruption, not something to ignore.
+func TestLoadRejectsTrailingData(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "snsd.snapshot")
+	srv, _, db := startDaemon(t, 16, snap)
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, append(raw, ` {"version": 999} garbage`...), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(Config{
+		Model:        svc.PolicyRuntime(placement.SNS, hw.DefaultClusterSpec().Node),
+		DB:           db,
+		Timescale:    10000,
+		SnapshotPath: snap,
+	}, db)
+	if err == nil || !strings.HasPrefix(err.Error(), "api: decoding snapshot") || got != nil {
+		t.Errorf("Load returned server %v, err %v; want no server and a decoding error", got != nil, err)
+	}
+}
+
+// TestShutdownWithoutStart: Shutdown on a server that was never started
+// launches the scheduler goroutine, which drains, snapshots and closes
+// the core, instead of waiting forever for a goroutine nobody started.
+func TestShutdownWithoutStart(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "snsd.snapshot")
+	started, _, db := startDaemon(t, 16, snap)
+	if err := started.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	_, node := testDB(t)
+	core, err := svc.New(svc.Config{Node: node, Nodes: 16, Policy: placement.SNS, MaxScale: 8, ScanDepth: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Model: svc.PolicyRuntime(placement.SNS, node), DB: db, Timescale: 10000}
+	fresh := cfg
+	fresh.Core = core
+	srv, err := New(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdownWithin(t, "New+Shutdown", srv)
+
+	cfg.SnapshotPath = snap
+	loaded, err := Load(cfg, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(snap); err != nil {
+		t.Fatal(err)
+	}
+	if shutdownWithin(t, "Load+Shutdown", loaded) {
+		if _, err := os.Stat(snap); err != nil {
+			t.Errorf("Load+Shutdown wrote no snapshot: %v", err)
+		}
+	}
+}
+
+// shutdownWithin reports whether srv.Shutdown returned, without error,
+// within five seconds, and fails the test if not.
+func shutdownWithin(t *testing.T, name string, srv *Server) bool {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Shutdown() }()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		return err == nil
+	case <-time.After(5 * time.Second):
+		t.Errorf("%s: Shutdown still blocked after 5 s", name)
+		return false
+	}
+}
+
 // TestWaitOpUnknownStatus: a status the client has no arm for is an
 // error on the first poll, not a reason to poll again.
 func TestWaitOpUnknownStatus(t *testing.T) {

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -128,6 +129,9 @@ func Restore(r io.Reader, db *profiler.DB) (*Cluster, error) {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("svc: decoding snapshot: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("svc: data after the snapshot")
 	}
 	if s.Version != snapshotVersion {
 		return nil, fmt.Errorf("svc: snapshot version %d, this build reads %d", s.Version, snapshotVersion)

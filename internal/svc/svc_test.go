@@ -501,13 +501,14 @@ func TestSnapshotRestoreRejectsCorruption(t *testing.T) {
 		"sparse ids":              strings.Replace(good, `"id":0`, `"id":7`, 1),
 		"foreign nodes":           strings.Replace(good, `"nodes":[`, `"nodes":[9999,`, 1),
 		"finish before the clock": strings.Replace(good, `"finish_sec":`, `"finish_sec":-`, 1),
+		"trailing data":           good + `{"version":1} trailing garbage`,
 	}
 	for name, doc := range cases {
 		if doc == good {
 			t.Fatalf("case %q did not corrupt the snapshot", name)
 		}
-		if _, err := Restore(strings.NewReader(doc), db); err == nil {
-			t.Errorf("Restore of %s snapshot succeeded, want error", name)
+		if got, err := Restore(strings.NewReader(doc), db); err == nil || got != nil || !strings.HasPrefix(err.Error(), "svc: ") {
+			t.Errorf("Restore of %s snapshot returned core %v, err %v; want no core and an svc: error", name, got != nil, err)
 		}
 	}
 
